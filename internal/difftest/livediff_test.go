@@ -170,7 +170,7 @@ func TestLiveMutationStreamCC(t *testing.T) {
 							t.Fatalf("batch %d flush: %v", bi, err)
 						}
 						oracle := liveOracleCC(replay)
-						got := algorithms.ComponentsToMap(v.Snapshot())
+						got := algorithms.ComponentsToMap(snapshotOf(t, v))
 						if len(got) != len(oracle) {
 							t.Fatalf("batch %d: %d records, oracle %d", bi, len(got), len(oracle))
 						}
@@ -239,7 +239,7 @@ func TestLiveMutationStreamSSSP(t *testing.T) {
 						}
 						oracle := algorithms.SSSPReference(toWeighted(replay), source)
 						got := make(map[int64]float64)
-						for _, r := range v.Snapshot() {
+						for _, r := range snapshotOf(t, v) {
 							got[r.A] = r.X
 						}
 						if len(got) != len(oracle) {

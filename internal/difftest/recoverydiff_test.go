@@ -99,7 +99,7 @@ func runCrashRecovery(t *testing.T, name string, mk func() live.Maintainer,
 	}
 
 	assertByteIdentical(t, fmt.Sprintf("%s kill@%d", name, kill),
-		recovered.Snapshot(), oracle.Snapshot())
+		snapshotOf(t, recovered), snapshotOf(t, oracle))
 }
 
 func TestCrashRecoveryCC(t *testing.T) {
@@ -235,5 +235,5 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	assertByteIdentical(t, "torn tail", recovered.Snapshot(), oracle.Snapshot())
+	assertByteIdentical(t, "torn tail", snapshotOf(t, recovered), snapshotOf(t, oracle))
 }

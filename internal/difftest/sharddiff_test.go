@@ -18,8 +18,9 @@ import (
 // protocol) must stay byte-identical to a single-process LiveView — and
 // to the from-scratch oracles — under the same random insert/delete
 // stream. This exercises the distributed monotone candidate rounds, the
-// coordinated full recompute on deletions, the digest-verified replans,
-// and the scatter-gather snapshot, across backends and both algorithms.
+// bounded region repair of CC deletions, the coordinated full recompute
+// of SSSP deletions, the digest-verified re-plans, and the scatter-gather
+// snapshot, across backends and both algorithms.
 
 // startViewWorkers launches n in-process `spinflow worker` equivalents
 // hosting view sessions, returning their control addresses.
@@ -120,8 +121,8 @@ func TestLiveShardedStreamCC(t *testing.T) {
 					}
 				}
 				ctx := fmt.Sprintf("batch %d", bi)
-				snap := sharded.Snapshot()
-				assertSnapshotsIdentical(t, ctx, snap, single.Snapshot())
+				snap := snapshotOf(t, sharded)
+				assertSnapshotsIdentical(t, ctx, snap, snapshotOf(t, single))
 				oracle := liveOracleCC(replay)
 				if len(snap) != len(oracle) {
 					t.Fatalf("%s: %d records, oracle %d", ctx, len(snap), len(oracle))
@@ -133,9 +134,9 @@ func TestLiveShardedStreamCC(t *testing.T) {
 				}
 				// Point queries route across the host boundary.
 				for _, vid := range replay.Vertices()[:min(5, replay.NumVertices())] {
-					r, ok := sharded.Query(vid)
-					if !ok || r.B != oracle[vid] {
-						t.Fatalf("%s: query(%d) = (%+v, %v), oracle %d", ctx, vid, r, ok, oracle[vid])
+					r, ok, err := sharded.Query(vid)
+					if err != nil || !ok || r.B != oracle[vid] {
+						t.Fatalf("%s: query(%d) = (%+v, %v, %v), oracle %d", ctx, vid, r, ok, err, oracle[vid])
 					}
 				}
 			}
@@ -199,8 +200,8 @@ func TestLiveShardedStreamSSSP(t *testing.T) {
 					}
 				}
 				ctx := fmt.Sprintf("batch %d", bi)
-				snap := sharded.Snapshot()
-				assertSnapshotsIdentical(t, ctx, snap, single.Snapshot())
+				snap := snapshotOf(t, sharded)
+				assertSnapshotsIdentical(t, ctx, snap, snapshotOf(t, single))
 				oracle := ssspOracle(replay, source)
 				if len(snap) != len(oracle) {
 					t.Fatalf("%s: reached %d, oracle %d", ctx, len(snap), len(oracle))
@@ -213,6 +214,57 @@ func TestLiveShardedStreamSSSP(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLiveShardedFringeDelete deletes one spoke of a fringe star on a
+// two-host CC view: the split must repair by the bounded region
+// recompute — region labels gathered from the owning hosts, resets and
+// seeds on every host — exactly as the in-process view does, never by a
+// coordinated full recompute, and land byte-identical to the in-process
+// view and to union-find.
+func TestLiveShardedFringeDelete(t *testing.T) {
+	g := diffGraphs()[0]
+	var initial []live.Mutation
+	for _, e := range g.Edges {
+		initial = append(initial, live.InsertEdge(e.Src, e.Dst))
+	}
+	const hub = 1000
+	for i := int64(1); i <= 4; i++ {
+		initial = append(initial, live.InsertEdge(hub, hub+i))
+	}
+	workers := startViewWorkers(t, 1)
+	sharded, err := live.NewView("shard-fringe", live.CC(), initial, shardViewConfig("compact", workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	single, err := live.NewView("local-fringe", live.CC(), initial, shardViewConfig("compact", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	replay := live.NewGraphState()
+	for _, mu := range initial {
+		replay.Apply(mu)
+	}
+
+	del := live.DeleteEdge(hub, hub+1)
+	replay.Apply(del)
+	for _, v := range []*live.LiveView{sharded, single} {
+		if err := v.Mutate(del); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if st := v.Stats(); st.PartialRecomputes != 1 || st.FullRecomputes != 0 {
+			t.Fatalf("%s: partial %d, full %d recomputes; want one bounded repair",
+				v.Name(), st.PartialRecomputes, st.FullRecomputes)
+		}
+	}
+	snap := snapshotOf(t, sharded)
+	assertSnapshotsIdentical(t, "fringe delete", snap, snapshotOf(t, single))
+	assertComponentsEqual(t, "fringe delete", algorithms.ComponentsToMap(snap), liveOracleCC(replay))
 }
 
 // TestLiveShardedKillRecover crashes a durable sharded view mid-life and
@@ -266,7 +318,7 @@ func TestLiveShardedKillRecover(t *testing.T) {
 	check := func(ctx string) {
 		t.Helper()
 		oracle := liveOracleCC(replay)
-		snap := v2.Snapshot()
+		snap := snapshotOf(t, v2)
 		if len(snap) != len(oracle) {
 			t.Fatalf("%s: %d records, oracle %d", ctx, len(snap), len(oracle))
 		}
@@ -289,4 +341,14 @@ func TestLiveShardedKillRecover(t *testing.T) {
 		}
 	}
 	check("after post-recovery maintenance")
+}
+
+// snapshotOf is v.Snapshot, failing the test on an error.
+func snapshotOf(t testing.TB, v *live.LiveView) []record.Record {
+	t.Helper()
+	snap, err := v.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }

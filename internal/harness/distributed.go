@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"os/exec"
-	"sort"
 	"time"
 
 	"repro/internal/distrib"
@@ -282,9 +281,8 @@ func Distributed(o Options) (*DistributedResult, error) {
 			}
 		}
 		d := time.Since(start)
-		snap := v.Snapshot()
-		sort.Slice(snap, func(i, j int) bool { return record.Less(snap[i], snap[j]) })
-		return snap, d, nil
+		snap, err := v.Snapshot() // canonically sorted
+		return snap, d, err
 	}
 	o.printf("\n  sharded serving (warm cc maintenance on %s, %d batches x %d edges):\n",
 		g.Name, shardBatches, batchN)

@@ -167,7 +167,15 @@ func Durable(o Options) (*DurableResult, error) {
 	if err := oracle.Flush(); err != nil {
 		return nil, err
 	}
-	res.RecoveredIdentical = identicalSets(recovered.Snapshot(), oracle.Snapshot())
+	recSnap, err := recovered.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	oracleSnap, err := oracle.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	res.RecoveredIdentical = identicalSets(recSnap, oracleSnap)
 
 	// Streaming-snapshot memory: force a checkpoint while sampling the
 	// heap. The ratio stays near 1 because the writer streams partition

@@ -154,7 +154,12 @@ func Live(o Options) (*LiveResult, error) {
 		}
 		cold := time.Since(start)
 
-		warmAssign := algorithms.ComponentsToMap(v.Snapshot())
+		snap, err := v.Snapshot()
+		if err != nil {
+			v.Close()
+			return nil, err
+		}
+		warmAssign := algorithms.ComponentsToMap(snap)
 		if len(warmAssign) != len(coldAssign) {
 			res.Identical = false
 		}

@@ -114,7 +114,9 @@ func traceLive(o Options, reg *obs.Registry) (obs.TraceID, error) {
 			return 0, fmt.Errorf("harness: trace live flush %d: %w", round, err)
 		}
 	}
-	v.Query(1)
+	if _, _, err := v.Query(1); err != nil {
+		return 0, err
+	}
 	return v.TraceID(), nil
 }
 

@@ -178,9 +178,12 @@ func (f *Fixpoint) Plan() *optimizer.PhysPlan { return f.reopt.cur }
 func (f *Fixpoint) InvalidateConstants() { f.en.exec.InvalidateCaches() }
 
 // Rebind re-optimizes a structurally new spec and swaps in a fresh session
-// for it, keeping the executor and the resident solution set. Live views
-// use it when the graph has drifted so far from the planned statistics
-// that the old physical plan is no longer credible.
+// for it, keeping the executor, the transport and the resident solution
+// set. The swap is the mid-run re-optimization's, so a meshed transport's
+// per-edge routing state is rebound to the new plan's edge count. Live
+// views use it when the graph has drifted so far from the planned
+// statistics that the old physical plan is no longer credible, and for
+// full recomputes.
 func (f *Fixpoint) Rebind(spec IncrementalSpec) error {
 	if err := spec.validate(); err != nil {
 		return err
@@ -198,14 +201,9 @@ func (f *Fixpoint) Rebind(spec IncrementalSpec) error {
 	f.reopt = newReoptState(phys, spec.Workset.EstRecords)
 	f.en.spec = &f.spec
 	f.en.expected = expected
-	f.en.exec.InvalidateCaches()
-	f.en.exec.DirectMerge = false
-	if _, err := ValidateMicrostep(spec); err == nil {
-		f.en.exec.DirectMerge = true
-	}
-	f.en.sess.Close()
-	f.en.sess = f.en.exec.OpenSessionOn(phys, f.en.tr)
-	return nil
+	_, err = ValidateMicrostep(spec)
+	f.en.exec.DirectMerge = err == nil
+	return f.en.swap(phys)
 }
 
 // SeedWorkset installs a working set without running anything — the

@@ -5,7 +5,10 @@ package iterative_test
 // iterative (so these tests cannot live in the internal test package).
 
 import (
+	"fmt"
+	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/algorithms"
 	"repro/internal/dataflow"
@@ -176,6 +179,149 @@ func TestFixpointSessionReuseAcrossRestarts(t *testing.T) {
 	for v, c := range oracle {
 		if got[v] != c {
 			t.Fatalf("vertex %d -> %d, oracle %d", v, got[v], c)
+		}
+	}
+}
+
+// chanBarrier couples a coordinator's RunDriven to one peer stepping in
+// lockstep: Release wakes the peer, Collect adds its next-workset count.
+type chanBarrier struct {
+	release chan struct{}
+	counts  chan int
+}
+
+func (b chanBarrier) Release(int) error { b.release <- struct{}{}; return nil }
+
+func (b chanBarrier) Collect(_, local int) (int, error) {
+	n, ok := <-b.counts
+	if !ok {
+		return 0, fmt.Errorf("peer failed")
+	}
+	return local + n, nil
+}
+
+// ccFilteredSpec is Connected Components with a filter in front of the
+// solution join: the same fixpoint as the CoGroup variant through a plan
+// with a different edge count.
+func ccFilteredSpec(g *graphgen.Graph) (iterative.IncrementalSpec, []record.Record, []record.Record) {
+	und := g.Undirected()
+	edgeRecs := algorithms.EdgeRecords(und)
+	plan := dataflow.NewPlan()
+	w := plan.IterationPlaceholder("W", int64(len(edgeRecs)))
+	kept := plan.FilterNode("nonNegative", w, func(r record.Record) bool { return r.B >= 0 })
+	delta := plan.SolutionJoinNode("updateCC", kept, record.KeyA,
+		func(c, s record.Record, found bool, out dataflow.Emitter) {
+			if found && c.B < s.B {
+				out.Emit(c)
+			}
+		})
+	delta.Preserve(0, record.KeyA)
+	propagate := plan.MatchNode("toNeighbors", delta, plan.SourceOf("N", edgeRecs), record.KeyA, record.KeyA,
+		func(d, e record.Record, out dataflow.Emitter) { out.Emit(record.Record{A: e.B, B: d.B}) })
+	spec := iterative.IncrementalSpec{
+		Plan: plan, Workset: w, DeltaSink: plan.SinkNode("D", delta), WorksetSink: plan.SinkNode("W'", propagate),
+		SolutionKey: record.KeyA, WorksetKey: record.KeyA, Comparator: algorithms.MinCidComparator,
+	}
+	return spec, algorithms.InitialComponentRecords(und.NumVertices), algorithms.InitialCandidateRecords(edgeRecs)
+}
+
+// TestFixpointRebindRebindsTransport opens a two-host Fixpoint over a
+// meshed TCPTransport, Rebinds both hosts to a spec whose physical plan
+// has a different edge count, and runs it: the transport's per-edge
+// routing must follow the new plan, and the hosted partitions must merge
+// to the single-process result byte for byte.
+func TestFixpointRebindRebindsTransport(t *testing.T) {
+	g := graphgen.Uniform("rebind", 60, 120, 0xCAFE)
+	const par, hosts = 4, 2
+	place := runtime.ContiguousPlacement(par, hosts)
+	fxs := make([]*iterative.Fixpoint, hosts)
+	trs := make([]*runtime.TCPTransport, hosts)
+	addrs := make([]string, hosts)
+	var planned int
+	for h := range fxs {
+		cfg := iterative.Config{Parallelism: par, Hosts: hosts, Host: h}
+		spec, _, _ := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
+		phys, err := iterative.PlanIncremental(spec, cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planned = phys.NumEdges
+		trs[h] = runtime.NewTCPTransport(h, place, planned, nil)
+		defer trs[h].Close()
+		if addrs[h], err = trs[h].Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		if fxs[h], err = iterative.OpenFixpointOn(spec, nil, cfg, phys, trs[h]); err != nil {
+			t.Fatal(err)
+		}
+		defer fxs[h].Close()
+	}
+	meshed := make(chan error, hosts)
+	for _, tr := range trs {
+		go func() { meshed <- tr.ConnectPeers(addrs, 10*time.Second) }()
+	}
+	for range trs {
+		if err := <-meshed; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, fx := range fxs {
+		spec, s0, _ := ccFilteredSpec(g)
+		if err := fx.Rebind(spec); err != nil {
+			t.Fatal(err)
+		}
+		if fx.Plan().NumEdges == planned {
+			t.Fatal("the rebound plan has the old edge count; the test would not exercise a transport rebind")
+		}
+		fx.Solution().Init(s0)
+	}
+
+	spec, s0, w0 := ccFilteredSpec(g)
+	b := chanBarrier{release: make(chan struct{}), counts: make(chan int)}
+	go func() {
+		defer close(b.counts)
+		fxs[1].SeedWorkset(w0)
+		for range b.release {
+			n, err := fxs[1].StepOnce()
+			if err != nil {
+				return
+			}
+			b.counts <- n
+		}
+	}()
+	done := make(chan error, 1)
+	go func() {
+		_, err := fxs[0].RunDriven(w0, iterative.DriveHooks{Barrier: b})
+		close(b.release)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("rebound two-host fixpoint did not converge")
+	}
+
+	var got []record.Record
+	for h, fx := range fxs {
+		for _, p := range place.HostedBy(h) {
+			fx.Solution().EachPartition(p, func(r record.Record) { got = append(got, r) })
+		}
+	}
+	want, err := iterative.RunIncremental(spec, s0, w0, iterative.Config{Parallelism: par})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(got, func(i, j int) bool { return record.Less(got[i], got[j]) })
+	sort.Slice(want.Solution, func(i, j int) bool { return record.Less(want.Solution[i], want.Solution[j]) })
+	if len(got) != len(want.Solution) {
+		t.Fatalf("two-host rebound run: %d records, single-process %d", len(got), len(want.Solution))
+	}
+	for i := range got {
+		if !got[i].Equal(want.Solution[i]) {
+			t.Fatalf("record %d: two-host %+v, single-process %+v", i, got[i], want.Solution[i])
 		}
 	}
 }

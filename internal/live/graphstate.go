@@ -2,10 +2,10 @@ package live
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"repro/internal/algorithms"
-	"repro/internal/graphgen"
 	"repro/internal/record"
 )
 
@@ -308,18 +308,46 @@ func (g *GraphState) WeightedUndirected() []algorithms.WeightedEdge {
 	return g.wundir
 }
 
-// Graph materializes the current directed edge list as a graphgen.Graph
-// (NumVertices = max id + 1), for oracles and differential tests.
-func (g *GraphState) Graph(name string) *graphgen.Graph {
-	var maxID int64 = -1
-	for v := range g.verts {
-		if v > maxID {
-			maxID = v
+// writeGraph emits the graph as two sections — vertices, then edges in
+// edge-slice order — the layout snapshots and worker graph dumps share.
+// Replaying AddVertex/AddEdge in this order (readGraph) rebuilds a graph
+// whose edge slice, and so every spec derived from it, matches this one.
+func (g *GraphState) writeGraph(add func(record.Record) error, endSection func() error) error {
+	for _, v := range g.Vertices() {
+		if err := add(record.Record{A: v}); err != nil {
+			return err
 		}
 	}
-	edges := make([]graphgen.Edge, len(g.edges))
-	for i, e := range g.edges {
-		edges[i] = graphgen.Edge{Src: e.Src, Dst: e.Dst}
+	if err := endSection(); err != nil {
+		return err
 	}
-	return &graphgen.Graph{Name: name, NumVertices: maxID + 1, Edges: edges}
+	for _, e := range g.edges {
+		if err := add(record.Record{A: e.Src, B: e.Dst, X: e.Weight}); err != nil {
+			return err
+		}
+	}
+	return endSection()
+}
+
+// readGraph rebuilds a graph from writeGraph's two sections, each read
+// through section.
+func readGraph(section func(func(record.Batch) error) error) (*GraphState, error) {
+	gs := NewGraphState()
+	if err := section(func(b record.Batch) error {
+		for _, r := range b {
+			gs.AddVertex(r.A)
+		}
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("live: graph vertices: %w", err)
+	}
+	if err := section(func(b record.Batch) error {
+		for _, r := range b {
+			gs.AddEdge(r.A, r.B, r.X)
+		}
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("live: graph edges: %w", err)
+	}
+	return gs, nil
 }

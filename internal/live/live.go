@@ -39,16 +39,17 @@
 // ordinary maintenance path, and truncating torn tails at the last valid
 // frame. `spinflow serve -data-dir` turns this on for every served view.
 //
-// A view reaches its fixpoint through the SessionProvider seam
-// (provider.go): in-process by default, or — with `spinflow serve
-// -workers` — a distributed session (shard.go) that hosts partition
-// ranges across `spinflow worker` processes. Every host keeps a full
-// graph replica and derives plan and placement independently
-// (digest-checked over the distrib control plane); only mutation batches
+// Every view keeps its fixpoint in one maintenance session (shard.go,
+// shardcore.go) whose partition ranges are spread over hosts: an
+// in-process view is the one-host case, and `spinflow serve -workers`
+// adds `spinflow worker` processes. Every host keeps a full graph replica
+// and derives plan and placement independently (digest-checked over the
+// distrib control plane); only mutation batches, deletion region labels
 // and owner-routed candidate worksets travel, supersteps ride the shared
 // driver's barrier over the TCP data plane, queries ask the key's owner,
 // and snapshots scatter-gather every host's shard into one canonical
-// file family.
+// file family. Insertions, bounded deletion repairs and full recomputes
+// run the same code on every host count.
 package live
 
 import (
@@ -167,7 +168,8 @@ type ViewConfig struct {
 	// from the embedded Metrics: when several concurrently-flushing
 	// views share one Counters, samples include the neighbors' work and
 	// the fit degrades toward the (safe) built-in defaults — give auto
-	// views private Counters when switch precision matters.
+	// views private Counters when switch precision matters. In-process
+	// views only: Validate rejects it together with Workers.
 	AutoEngine bool
 }
 
@@ -218,6 +220,9 @@ func (c ViewConfig) Validate() error {
 	}
 	if c.Durable && c.DataDir == "" {
 		return fmt.Errorf("live: Durable requires DataDir")
+	}
+	if c.AutoEngine && len(c.Workers) > 0 {
+		return fmt.Errorf("live: AutoEngine runs in-process only; it cannot shard over Workers")
 	}
 	return nil
 }
@@ -276,14 +281,13 @@ type LiveView struct {
 	walHist   *obs.Histogram
 	snapHist  *obs.Histogram
 
-	// mu guards the graph, the session provider and its solution state:
-	// exclusive for maintenance, shared for reads.
+	// mu guards the graph, the session and its solution state: exclusive
+	// for maintenance, shared for reads.
 	mu sync.RWMutex
 	gs *GraphState
-	// sess is the session provider backing the view: in-process
-	// (localSession) by default, or sharded over worker processes
-	// (distSession) when ViewConfig.Workers is set.
-	sess  SessionProvider
+	// sess is the maintenance session backing the view, sharded over
+	// ViewConfig.Workers when set.
+	sess  *session
 	stats ViewStats
 	// dur is the durability state (nil for in-memory views). Its wal is
 	// internally locked; the seq/snapshot bookkeeping is guarded by mu,
@@ -343,32 +347,12 @@ func newViewCore(name string, m Maintainer, initial []Mutation, cfg ViewConfig) 
 		v.gs.Apply(mut)
 	}
 	v.bindObs()
-	sess, err := v.openSession(nil)
+	sess, err := openSession(v, nil)
 	if err != nil {
 		return nil, err
 	}
 	v.sess = sess
 	return v, nil
-}
-
-// openSession builds the view's session provider over the current graph:
-// sharded across ViewConfig.Workers when set, in-process otherwise. A
-// non-nil recovered solution skips the cold fixpoint and initializes the
-// session from those records instead (the snapshot-recovery path).
-func (v *LiveView) openSession(recovered []record.Record) (SessionProvider, error) {
-	if len(v.cfg.Workers) > 0 {
-		return openDistSession(v, recovered)
-	}
-	if recovered == nil {
-		return newLocalSession(v)
-	}
-	spec, _, _ := v.m.Spec(v.gs)
-	fx, err := iterative.OpenFixpoint(spec, nil, v.cfg.Config)
-	if err != nil {
-		return nil, err
-	}
-	fx.Solution().Init(recovered)
-	return adoptLocalSession(v, fx, spec), nil
 }
 
 // withObsDefaults mints the view's trace identity when a telemetry
@@ -429,12 +413,10 @@ func (c ViewConfig) withAutoDefaults() ViewConfig {
 	return c
 }
 
-// assembleView wires a LiveView around already-recovered state: the
-// graph and a session provider whose solution state is already loaded.
-// Used by recovery, where the cold build is replaced by a snapshot load
-// plus WAL replay.
-func assembleView(name string, m Maintainer, cfg ViewConfig, gs *GraphState, sess SessionProvider) *LiveView {
-	v := &LiveView{name: name, m: m, cfg: cfg, gs: gs, sess: sess}
+// assembleView wires a LiveView around a recovered graph; recovery then
+// opens its session over a loaded snapshot (or cold) and replays the WAL.
+func assembleView(name string, m Maintainer, cfg ViewConfig, gs *GraphState) *LiveView {
+	v := &LiveView{name: name, m: m, cfg: cfg, gs: gs}
 	v.bindObs()
 	return v
 }
@@ -450,8 +432,8 @@ func (v *LiveView) TraceID() obs.TraceID { return v.cfg.TraceID }
 // id or distance). It sees converged state only: flushes in progress
 // block it, queued-but-unflushed mutations do not affect it. On a
 // sharded view the lookup is routed to the host owning the key's
-// partition.
-func (v *LiveView) Query(k int64) (record.Record, bool) {
+// partition, and a failed worker exchange is returned as an error.
+func (v *LiveView) Query(k int64) (record.Record, bool, error) {
 	if h := v.qHist; h != nil {
 		defer h.ObserveSince(time.Now())
 	}
@@ -460,19 +442,12 @@ func (v *LiveView) Query(k int64) (record.Record, bool) {
 	return v.sess.Lookup(k)
 }
 
-// Snapshot copies the converged solution set out (scatter-gathered over
-// every host for a sharded view).
-func (v *LiveView) Snapshot() []record.Record {
+// Snapshot copies the converged solution set out, canonically sorted
+// (scatter-gathered over every host for a sharded view).
+func (v *LiveView) Snapshot() ([]record.Record, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	return v.sess.Snapshot()
-}
-
-// Bytes reports the solution set's resident in-memory footprint.
-func (v *LiveView) Bytes() int64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.sess.Bytes()
 }
 
 // Stats reports the view's maintenance counters.
@@ -481,9 +456,7 @@ func (v *LiveView) Stats() ViewStats {
 	st := v.stats
 	st.Vertices = v.gs.NumVertices()
 	st.Edges = v.gs.NumEdges()
-	st.SolutionRecords = v.sess.Records()
-	st.SolutionBytes = v.sess.Bytes()
-	st.Shards = v.sess.Shards()
+	st.SolutionRecords, st.SolutionBytes, st.Shards = v.sess.footprint()
 	if d := v.dur; d != nil {
 		st.Durable = true
 		st.WALBytes = d.wal.SizeBytes()
@@ -624,17 +597,11 @@ func (v *LiveView) afterFlushLocked(seq uint64) {
 	}
 }
 
-// insertedEdge records one edge insertion of a batch for delta building.
-type insertedEdge struct {
-	src, dst int64
-	w        float64
-}
-
 // applyLocked absorbs one mutation batch under the exclusive lock: the
-// session provider does the maintenance work (graph apply, delta
-// classification, warm restart), this wrapper keeps the view-level
-// counters. The batch counts as applied once the graph mutation phase
-// ran, which the provider performs unconditionally before any restart.
+// session does the maintenance work (graph apply, delta classification,
+// warm restart), this wrapper keeps the view-level counters. The batch
+// counts as applied once the graph mutation phase ran, which the session
+// performs unconditionally before any restart.
 func (v *LiveView) applyLocked(batch []Mutation) error {
 	if m := v.cfg.Metrics; m != nil {
 		m.DeltasApplied.Add(int64(len(batch)))

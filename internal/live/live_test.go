@@ -50,7 +50,7 @@ func ccOracle(gs *GraphState) map[int64]int64 {
 func assertCC(t *testing.T, ctx string, v *LiveView, model *GraphState) {
 	t.Helper()
 	oracle := ccOracle(model)
-	got := algorithms.ComponentsToMap(v.Snapshot())
+	got := algorithms.ComponentsToMap(snapshotOf(t, v))
 	if len(got) != len(oracle) {
 		t.Fatalf("%s: %d solution records, oracle has %d", ctx, len(got), len(oracle))
 	}
@@ -244,7 +244,7 @@ func TestLiveViewVertexDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertCC(t, "vertex delete", v, model)
-	if _, found := v.Query(1); found {
+	if _, found := queryOf(t, v, 1); found {
 		t.Error("deleted vertex still has a solution entry")
 	}
 }
@@ -271,7 +271,7 @@ func TestLiveViewSSSP(t *testing.T) {
 		t.Helper()
 		oracle := algorithms.SSSPReference(model.WeightedUndirected(), 0)
 		got := make(map[int64]float64)
-		for _, r := range v.Snapshot() {
+		for _, r := range snapshotOf(t, v) {
 			got[r.A] = r.X
 		}
 		if len(got) != len(oracle) {
@@ -329,7 +329,7 @@ func TestLiveViewSSSPReweight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v.Close()
-	if r, _ := v.Query(2); r.X != 2 {
+	if r, _ := queryOf(t, v, 2); r.X != 2 {
 		t.Fatalf("cold dist(2) = %v, want 2", r.X)
 	}
 
@@ -340,7 +340,7 @@ func TestLiveViewSSSPReweight(t *testing.T) {
 	if err := v.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if r, _ := v.Query(2); r.X != 5 {
+	if r, _ := queryOf(t, v, 2); r.X != 5 {
 		t.Fatalf("post-reweight dist(2) = %v, want 5", r.X)
 	}
 	if m.FullRecomputes.Load() == 0 {
@@ -354,7 +354,7 @@ func TestLiveViewSSSPReweight(t *testing.T) {
 	if err := v.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if r, _ := v.Query(2); r.X != 1 {
+	if r, _ := queryOf(t, v, 2); r.X != 1 {
 		t.Fatalf("post-decrease dist(2) = %v, want 1", r.X)
 	}
 }
@@ -383,7 +383,7 @@ func TestLiveViewBatchSizeAutoFlush(t *testing.T) {
 	if st.Flushes != 1 || st.MutationsPending != 0 {
 		t.Fatalf("BatchSize did not flush: %+v", st)
 	}
-	if r, ok := v.Query(22); !ok || r.B != 20 {
+	if r, ok := queryOf(t, v, 22); !ok || r.B != 20 {
 		t.Fatalf("Query(22) = %v,%v, want component 20", r, ok)
 	}
 }
@@ -405,7 +405,7 @@ func TestLiveViewFlushIntervalTimer(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if r, ok := v.Query(9); ok && r.B == 0 {
+		if r, ok := queryOf(t, v, 9); ok && r.B == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -440,11 +440,14 @@ func TestLiveViewConcurrentQueries(t *testing.T) {
 					return
 				default:
 				}
-				if rec, ok := v.Query(5); ok && rec.B < 0 {
-					t.Error("negative component id")
+				if rec, ok, err := v.Query(5); err != nil || (ok && rec.B < 0) {
+					t.Error("negative component id", err)
 					return
 				}
-				_ = v.Snapshot()
+				if _, err := v.Snapshot(); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 	}
@@ -503,6 +506,7 @@ func TestViewConfigValidate(t *testing.T) {
 		{FlushInterval: -time.Second},
 		{RecomputeFraction: 1.5},
 		{Config: iterative.Config{SolutionMemoryBudget: -5}},
+		{AutoEngine: true, Workers: []string{"127.0.0.1:1"}}, // auto views run in-process only
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -529,4 +533,24 @@ func TestLiveViewClosedRejectsMutations(t *testing.T) {
 	if err := v.Mutate(InsertEdge(9, 10)); err == nil {
 		t.Error("closed view accepted a mutation")
 	}
+}
+
+// snapshotOf is v.Snapshot, failing the test on an error.
+func snapshotOf(t testing.TB, v *LiveView) []record.Record {
+	t.Helper()
+	snap, err := v.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// queryOf is v.Query, failing the test on an error.
+func queryOf(t testing.TB, v *LiveView, k int64) (record.Record, bool) {
+	t.Helper()
+	r, ok, err := v.Query(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, ok
 }

@@ -7,13 +7,14 @@ import (
 )
 
 // SolutionReader is read access to the resident solution set, as handed
-// to maintainers. During a flush that includes deletions, affected-region
-// entries are force-reset before insert deltas are built, so lookups
-// never observe stale pre-deletion state.
+// to maintainers. It covers only the partitions the calling host owns
+// (all of them in-process): lookups of other keys miss, and Each visits
+// only hosted records. Region resets are force-stored before insert
+// candidates are built, so lookups never observe stale pre-deletion state.
 type SolutionReader interface {
 	// Lookup probes the solution by key.
 	Lookup(k int64) (record.Record, bool)
-	// Each visits every solution record (order unspecified).
+	// Each visits every hosted solution record (order unspecified).
 	Each(f func(record.Record))
 }
 
@@ -32,22 +33,23 @@ type Maintainer interface {
 	// InsertDelta translates the inserted undirected edge (src, dst, w)
 	// into workset candidates over the resident solution — the monotone
 	// fast path. It must be safe for lookups to miss (new or reset
-	// vertices).
+	// vertices, or keys another host owns).
 	InsertDelta(src, dst int64, w float64, sol SolutionReader) []record.Record
 	// VertexRecord is the solution entry a fresh isolated vertex starts
 	// with; ok=false if the algorithm keeps no entry for it.
 	VertexRecord(v int64) (record.Record, bool)
-	// DeleteImpact scopes the repair of removing edge (src, dst): the
-	// vertices whose entries may be invalidated (bounded recompute), or
-	// ok=false to demand a full recompute. It runs before any solution
-	// state changes, so lookups see consistent pre-batch values. gs
-	// already reflects the deletion.
-	DeleteImpact(gs *GraphState, src, dst int64, sol SolutionReader) (affected []int64, ok bool)
-	// RecomputeSeed re-initializes the affected region: resets are
-	// force-stored over the resident solution, drops are deleted from it,
-	// and seed becomes the workset driving the bounded restart. gs is the
-	// post-batch graph.
-	RecomputeSeed(gs *GraphState, affected []int64) (resets, seed []record.Record, drops []int64)
+	// DeleteImpact scopes the repair of removing edge (src, dst) by the
+	// region labels whose holders the removal may invalidate (bounded
+	// recompute), or ok=false to demand a full recompute. It runs before
+	// any solution state changes, so lookups see consistent pre-batch
+	// values; a lookup that misses contributes no label (the key's owner
+	// reports it). gs already reflects the deletion.
+	DeleteImpact(gs *GraphState, src, dst int64, sol SolutionReader) (labels []int64, ok bool)
+	// RecomputeSeed re-initializes the repair region of labels among the
+	// hosted records of sol: resets are force-stored over the resident
+	// solution, and seed — proposals from the reset vertices across their
+	// edges in gs, the post-batch graph — drives the bounded restart.
+	RecomputeSeed(gs *GraphState, labels []int64, sol SolutionReader) (resets, seed []record.Record)
 }
 
 // --- Connected Components -----------------------------------------------
@@ -90,39 +92,40 @@ func (ccMaintainer) VertexRecord(v int64) (record.Record, bool) {
 
 func (ccMaintainer) DeleteImpact(_ *GraphState, src, _ int64, sol SolutionReader) ([]int64, bool) {
 	// Both endpoints carried the same label (they were connected); every
-	// vertex with that label is the candidate split region.
+	// vertex with that label is the candidate split region. A vertex
+	// unknown to the solution has nothing to repair.
 	c, ok := sol.Lookup(src)
 	if !ok {
-		return nil, true // vertex unknown to the solution: nothing to repair
+		return nil, true
 	}
-	var affected []int64
-	sol.Each(func(r record.Record) {
-		if r.B == c.B {
-			affected = append(affected, r.A)
-		}
-	})
-	return affected, true
+	return []int64{c.B}, true
 }
 
-func (ccMaintainer) RecomputeSeed(gs *GraphState, affected []int64) (resets, seed []record.Record, drops []int64) {
-	in := make(map[int64]struct{}, len(affected))
-	resets = make([]record.Record, len(affected))
-	for i, v := range affected {
-		in[v] = struct{}{}
-		resets[i] = record.Record{A: v, B: v}
+func (ccMaintainer) RecomputeSeed(gs *GraphState, labels []int64, sol SolutionReader) (resets, seed []record.Record) {
+	split := make(map[int64]struct{}, len(labels))
+	for _, l := range labels {
+		split[l] = struct{}{}
 	}
-	// Surviving edges with both endpoints in the region re-seed the
-	// candidate propagation (UndirectedRecords carries both orientations).
-	for _, e := range gs.UndirectedRecords() {
-		if _, a := in[e.A]; !a {
-			continue
+	region := make(map[int64]struct{})
+	sol.Each(func(r record.Record) {
+		if _, ok := split[r.B]; ok {
+			region[r.A] = struct{}{}
+			resets = append(resets, record.Record{A: r.A, B: r.A})
 		}
-		if _, b := in[e.B]; !b {
-			continue
+	})
+	// Every reset vertex proposes its own id across its edges. A surviving
+	// pre-batch edge has both endpoints in the region (they shared a
+	// label), so the other endpoint's owner emits the reverse proposal;
+	// an edge this batch inserted only adds a sound candidate.
+	for _, e := range gs.edges {
+		if _, ok := region[e.Src]; ok {
+			seed = append(seed, record.Record{A: e.Dst, B: e.Src})
 		}
-		seed = append(seed, record.Record{A: e.B, B: e.A})
+		if _, ok := region[e.Dst]; ok {
+			seed = append(seed, record.Record{A: e.Src, B: e.Dst})
+		}
 	}
-	return resets, seed, nil
+	return resets, seed
 }
 
 // --- Single-source shortest paths ---------------------------------------
@@ -168,6 +171,6 @@ func (ssspMaintainer) DeleteImpact(*GraphState, int64, int64, SolutionReader) ([
 	return nil, false
 }
 
-func (ssspMaintainer) RecomputeSeed(*GraphState, []int64) ([]record.Record, []record.Record, []int64) {
-	return nil, nil, nil
+func (ssspMaintainer) RecomputeSeed(*GraphState, []int64, SolutionReader) ([]record.Record, []record.Record) {
+	return nil, nil
 }

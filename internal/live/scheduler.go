@@ -167,7 +167,7 @@ func (s *Scheduler) Usage() int64 {
 	s.mu.RUnlock()
 	var total int64
 	for _, v := range views {
-		total += v.Bytes()
+		total += v.Stats().SolutionBytes
 	}
 	return total
 }

@@ -109,7 +109,10 @@ func TestSchedulerConcurrentViews(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				v.Query(5)
+				if _, _, err := v.Query(5); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 			assertCC(t, name, v, model)
 		}(i)
@@ -168,7 +171,7 @@ func TestSchedulerObsExport(t *testing.T) {
 	if err := v.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	v.Query(100)
+	queryOf(t, v, 100)
 
 	for _, h := range []string{"live_query_duration", "live_mutate_duration", "live_flush_duration"} {
 		if reg.Histogram(h).Count() == 0 {

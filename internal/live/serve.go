@@ -258,7 +258,13 @@ func (s *Scheduler) Handler() http.Handler {
 			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("live: bad key: %w", err))
 			return
 		}
-		rec, found := v.Query(key)
+		rec, found, err := v.Query(key)
+		if err != nil {
+			// The key's owning worker failed: no answer is better than a
+			// silent miss.
+			s.writeErr(w, http.StatusBadGateway, err)
+			return
+		}
 		resp := QueryResponse{Key: key, Found: found}
 		if found {
 			resp.A, resp.B, resp.X = rec.A, rec.B, rec.X

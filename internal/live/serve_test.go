@@ -251,6 +251,9 @@ func spillFiles(t *testing.T) map[string]bool {
 // (including spill files of budgeted views) is released, and the listener
 // stops accepting connections.
 func TestServeShutdownClean(t *testing.T) {
+	// Spill into a private temp dir: packages tested in parallel leave
+	// their own spill files in the shared one.
+	t.Setenv("TMPDIR", t.TempDir())
 	before := spillFiles(t)
 
 	var m metrics.Counters

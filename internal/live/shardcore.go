@@ -9,6 +9,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/dataflow"
 	"repro/internal/distrib"
 	"repro/internal/iterative"
 	"repro/internal/metrics"
@@ -18,64 +19,70 @@ import (
 	"repro/internal/runtime"
 )
 
-// Sharded maintenance sessions: a LiveView whose ViewConfig.Workers is
-// set spreads its partition ranges over 1+len(Workers) processes. The
-// serving process is host 0 (the coordinator); every `spinflow worker`
-// process hosts one range through a long-lived *maintenance session* —
-// the live tier's counterpart of a distrib batch job, layered on the
-// same control-plane JSON protocol (distrib.ViewHost hands view_*
-// messages to this package) and the same TCP data plane.
+// Maintenance sessions: every LiveView keeps its fixpoint resident in one
+// session whose partition ranges are spread over 1+len(ViewConfig.Workers)
+// hosts. The serving process is host 0 (the coordinator); every `spinflow
+// worker` process hosts one range through a long-lived session layered on
+// the distrib control-plane JSON protocol (distrib.ViewHost hands view_*
+// messages to this package) and the TCP data plane. An in-process view is
+// the one-host case of the same session: no control connections, no
+// listener, and a nil transport, so the exchanges stay in-process.
 //
 // The protocol keeps a strong invariant: every host holds an identical
 // replica of the graph and applies every mutation batch to it, so the
 // spec, the physical plan (digest-verified at open and after every
-// re-plan), the placement, and all maintenance *decisions* (full
-// recompute or not, overlay fold or not) are derived independently on
-// each host and must agree byte-for-byte. Only two things actually
-// travel per flush: the mutation batch, and the merged insert-candidate
-// workset. Solution state is partitioned — each host's hosted
-// partitions are exact, its non-hosted partitions are stale — which is
-// why candidate derivation goes through hostedReader below: a stale
-// label may *mask* a propagation the fixpoint needs, so a host only
-// reads labels it owns and lets the maintainer's fallback produce a
-// sound (CPO-upper-bound) candidate for the rest. The owners emit the
-// exact candidates, the coordinator merges all of them, and junk
+// re-plan), the placement, and the maintenance decisions that depend on
+// the graph alone (overlay fold, drift re-plan) are derived independently
+// on each host and must agree. Solution state is partitioned — each
+// host's hosted partitions are exact, its non-hosted partitions are stale
+// — which is why every solution read goes through shardCore.Lookup: a
+// stale label may *mask* a propagation the fixpoint needs, so a host only
+// reads labels it owns and lets the maintainer's fallback produce a sound
+// (CPO-upper-bound) candidate for the rest. Owners emit the exact
+// candidates, the coordinator routes each to its key's owner, and junk
 // candidates are rejected by the ∪̇ comparator.
 //
-// Deletions (and re-weights and vertex drops) are not monotone; the
-// in-process bounded-recompute repair needs whole-solution scans that a
-// partitioned session cannot do, so sharded sessions route every
-// non-monotone batch to a coordinated full recompute — still warm: the
-// mesh, the processes, and the transport all survive, only the plan and
-// the solution state rebuild.
+// Deletions (and re-weights and vertex drops) are not monotone. A batch
+// that deletes takes one extra control round-trip: every host reports the
+// pre-batch region labels of the deleted edges it owns (view_applied), the
+// coordinator broadcasts their union, and each host stages the reset of
+// its hosted records carrying those labels (view_region). The summed
+// region size decides, once, between the bounded repair — each host
+// force-stores its resets before its round-0 gather, which reads only
+// hosted labels, so no candidate derives from a stale region label; the
+// region's seeds ride the owner-routed candidates — and a coordinated
+// full recompute, which stays warm: the mesh, the processes, and the
+// transport all survive.
 
 // The view-session control verbs (rides the distrib worker control
 // connection; every kind is prefixed view_ so distrib can dispatch
 // without knowing the schema).
 const (
-	viewOpen      = "view_open"      // coordinator → worker: spec + graph dump (+ solution on recovery)
-	viewReady     = "view_ready"     // worker → coordinator: data addr + plan digest
-	viewStart     = "view_start"     // coordinator → worker: all data addrs; mesh now
-	viewMeshed    = "view_meshed"    // worker → coordinator: mesh is up, fixpoint open
-	viewApply     = "view_apply"     // coordinator → worker: one mutation batch
-	viewApplied   = "view_applied"   // worker → coordinator: batch applied; Full = wants full recompute
-	viewReplan    = "view_replan"    // coordinator → worker: rebuild spec/plan/session (Full = reset + S0/W0)
-	viewReplanned = "view_replanned" // worker → coordinator: new plan digest
-	viewGather    = "view_gather"    // coordinator → worker: derive insert candidates (Round 0 = fresh batch)
-	viewCand      = "view_cand"      // worker → coordinator: candidate frames
-	viewSeed      = "view_seed"      // coordinator → worker: merged workset; seed it
-	viewSeeded    = "view_seeded"    // worker → coordinator: Count = hosted candidates that improve
-	viewStep      = "view_step"      // coordinator → worker: run one superstep (barrier release)
-	viewStepDone  = "view_step_done" // worker → coordinator: local next-workset count
-	viewQuery     = "view_query"     // coordinator → worker: lookup Key in a hosted partition
-	viewValue     = "view_value"     // worker → coordinator: Found + the record
-	viewCollect   = "view_collect"   // coordinator → worker: ship hosted partitions (+ spans)
-	viewSolution  = "view_solution"  // worker → coordinator: hosted partition frames
-	viewStats     = "view_stats"     // coordinator → worker: report hosted occupancy
-	viewStatted   = "view_statted"   // worker → coordinator: Count records / Bytes resident
-	viewClose     = "view_close"     // coordinator → worker: end the session
-	viewClosed    = "view_closed"    // worker → coordinator: session torn down
-	viewError     = "view_error"     // worker → coordinator: verb failed
+	viewOpen       = "view_open"       // coordinator → worker: spec + graph dump (+ solution on recovery)
+	viewReady      = "view_ready"      // worker → coordinator: data addr + plan digest
+	viewStart      = "view_start"      // coordinator → worker: all data addrs; mesh now
+	viewMeshed     = "view_meshed"     // worker → coordinator: mesh is up, fixpoint open
+	viewApply      = "view_apply"      // coordinator → worker: one mutation batch
+	viewApplied    = "view_applied"    // worker → coordinator: Full = unboundable delete; Labels = owned region labels
+	viewRegion     = "view_region"     // coordinator → worker: union of region Labels; stage the bounded repair
+	viewRegioned   = "view_regioned"   // worker → coordinator: Count = staged region records, Hosted = hosted records
+	viewRecompute  = "view_recompute"  // coordinator → worker: full recompute (re-plan, reset to S0, seed W0)
+	viewRecomputed = "view_recomputed" // worker → coordinator: new plan digest
+	viewGather     = "view_gather"     // coordinator → worker: derive candidates (Round 0 = fresh batch + repair)
+	viewCand       = "view_cand"       // worker → coordinator: remote-keyed candidates + plan digest
+	viewSeed       = "view_seed"       // coordinator → worker: merged workset; seed it
+	viewSeeded     = "view_seeded"     // worker → coordinator: Count = hosted candidates that improve
+	viewStep       = "view_step"       // coordinator → worker: run one superstep (barrier release)
+	viewStepDone   = "view_step_done"  // worker → coordinator: local next-workset count
+	viewQuery      = "view_query"      // coordinator → worker: lookup Key in a hosted partition
+	viewValue      = "view_value"      // worker → coordinator: Found + the record
+	viewCollect    = "view_collect"    // coordinator → worker: ship hosted partitions (+ spans)
+	viewSolution   = "view_solution"   // worker → coordinator: hosted partition frames
+	viewStats      = "view_stats"      // coordinator → worker: report hosted occupancy
+	viewStatted    = "view_statted"    // worker → coordinator: Count records / Bytes resident
+	viewClose      = "view_close"      // coordinator → worker: end the session
+	viewClosed     = "view_closed"     // worker → coordinator: session torn down
+	viewError      = "view_error"      // worker → coordinator: verb failed
 )
 
 // shardSpec is everything a worker needs to build its identical share of
@@ -106,6 +113,8 @@ type shardMsg struct {
 	DataAddrs []string   `json:"data_addrs,omitempty"`
 	Digest    string     `json:"digest,omitempty"`
 	Count     int        `json:"count,omitempty"`
+	Hosted    int        `json:"hosted,omitempty"`
+	Labels    []int64    `json:"labels,omitempty"`
 	Round     int        `json:"round,omitempty"`
 	Full      bool       `json:"full,omitempty"`
 	Found     bool       `json:"found,omitempty"`
@@ -129,11 +138,6 @@ func maintainerFor(algorithm string, source int64) (Maintainer, error) {
 }
 
 // --- frame codecs --------------------------------------------------------
-
-// recordsToFrames packs records into one CRC-framed batch.
-func recordsToFrames(recs []record.Record) []byte {
-	return record.AppendFrame(nil, recs)
-}
 
 // packRecords is the compact wire form for transient control-plane
 // payloads (mutation batches, candidate worksets): a flags byte plus
@@ -240,69 +244,64 @@ func framesToRecords(frames []byte) ([]record.Record, error) {
 	}
 }
 
-// dumpGraph serializes the graph replica: one vertices frame plus one
-// edges frame *in edge-slice order*. Replicas rebuild by replaying
-// AddVertex/AddEdge in this order and then apply every later mutation
+// dumpGraph serializes the graph replica as two frames (writeGraph's
+// sections). Replicas rebuild from it and then apply every later mutation
 // batch in arrival order, so their internal edge slices — and therefore
 // the specs derived from them — stay identical to the coordinator's.
 func dumpGraph(gs *GraphState) []byte {
-	verts := make(record.Batch, 0, gs.NumVertices())
-	for _, v := range gs.Vertices() {
-		verts = append(verts, record.Record{A: v})
-	}
-	out := record.AppendFrame(nil, verts)
-	edges := make(record.Batch, 0, len(gs.edges))
-	for _, e := range gs.edges {
-		edges = append(edges, record.Record{A: e.Src, B: e.Dst, X: e.Weight})
-	}
-	return record.AppendFrame(out, edges)
+	var out []byte
+	var b record.Batch
+	gs.writeGraph(func(r record.Record) error {
+		b = append(b, r)
+		return nil
+	}, func() error {
+		out, b = record.AppendFrame(out, b), b[:0]
+		return nil
+	})
+	return out
 }
 
 // loadGraph rebuilds a graph replica from dumpGraph frames.
 func loadGraph(frames []byte) (*GraphState, error) {
 	fr := record.NewFrameReader(bytes.NewReader(frames))
-	verts, err := fr.Next()
-	if err != nil {
-		return nil, fmt.Errorf("live: graph dump vertices: %w", err)
-	}
-	edges, err := fr.Next()
-	if err != nil {
-		return nil, fmt.Errorf("live: graph dump edges: %w", err)
-	}
-	gs := NewGraphState()
-	for _, r := range verts {
-		gs.AddVertex(r.A)
-	}
-	for _, r := range edges {
-		gs.AddVertex(r.A)
-		gs.AddVertex(r.B)
-		gs.AddEdge(r.A, r.B, r.X)
-	}
-	return gs, nil
+	return readGraph(func(f func(record.Batch) error) error {
+		b, err := fr.Next()
+		if err != nil {
+			return err
+		}
+		return f(b)
+	})
 }
 
 // --- per-host session core ----------------------------------------------
 
-// shardCore is one host's share of a sharded maintenance session: the
-// graph replica, the locally derived spec and plan, the meshed transport,
-// and a resident Fixpoint hosting this host's partition range. The
-// coordinator owns core 0 (its gs aliases the LiveView's); each worker
-// owns one with a replica gs.
+// shardCore is one host's share of a maintenance session: the graph
+// replica, the locally derived spec and plan, the meshed transport, and a
+// resident Fixpoint hosting this host's partition range. The coordinator
+// owns core 0 (its gs aliases the LiveView's); each worker owns one with a
+// replica gs. Every maintenance step below runs on every host.
 type shardCore struct {
-	name  string
 	m     Maintainer
 	cfg   iterative.Config
 	host  int
 	gs    *GraphState
 	place runtime.Placement
-	mtr   *metrics.Counters
-	reg   *obs.Registry
 
+	// tr is the data plane; nil on a one-host session, whose exchanges
+	// stay in-process.
 	tr   *runtime.TCPTransport
 	sol  *runtime.SolutionSet
 	fx   *iterative.Fixpoint
 	spec iterative.IncrementalSpec
+	// phys is the plan the fixpoint opens on (mesh); re-plans go through
+	// Fixpoint.Rebind.
 	phys *optimizer.PhysPlan
+	// sources are the spec's Source nodes in construction order, whose
+	// data fold refreshes in place; planEdges is the edge count the plan
+	// was costed with.
+	sources   []*dataflow.Node
+	planEdges int
+	digest    string
 	// dataAddr is the transport's listen address (workers echo it in
 	// view_ready so the coordinator can assemble the mesh).
 	dataAddr string
@@ -310,15 +309,22 @@ type shardCore struct {
 	// seed it at view_start; the coordinator runs it). Nil on recovery.
 	w0 []record.Record
 	// overlay holds edges in gs but not yet folded into the plan's edge
-	// table; fresh holds the *current* batch's inserts, the round-0
-	// candidate source. Both evolve identically on every host.
+	// table: the insert fast path leaves the O(E) caches untouched and
+	// re-derives candidates over these edges until the solution is a
+	// fixpoint over N ∪ overlay.
 	overlay []WEdge
-	fresh   []WEdge
-	digest  string
-	// pending buffers this host's own-keyed candidates between the
-	// gather and seed verbs of one round: candidates a host emits for
-	// keys it owns never travel — only remote-keyed ones go up to the
-	// coordinator, which routes every candidate straight to its owner.
+
+	// The current batch, carried between verbs: fresh holds its inserts
+	// (the round-0 candidate source), newVerts its added vertices,
+	// hasDelete whether the plan's edge table must fold, and resets/seed
+	// the staged bounded repair of its deletions.
+	fresh     []WEdge
+	newVerts  []int64
+	hasDelete bool
+	resets    []record.Record
+	seed      []record.Record
+	// pending buffers this host's own-keyed candidates between the gather
+	// and seed verbs of one round: only remote-keyed ones travel.
 	pending []record.Record
 }
 
@@ -346,53 +352,77 @@ func specFor(ss shardSpec, hostID int, reg *obs.Registry, mtr *metrics.Counters)
 }
 
 // newShardCore builds everything up to — but not including — the peer
-// mesh: the spec and plan over gs, the solution set (initialized from
-// `recovered` when non-nil, S0 otherwise), and the transport listening on
-// an ephemeral port. The fixpoint opens in mesh(), once all data addrs
-// are known.
-func newShardCore(name string, m Maintainer, cfg iterative.Config, hostID int,
-	gs *GraphState, recovered []record.Record, reg *obs.Registry) (*shardCore, string, error) {
+// mesh: the spec and plan over gs, the solution set (filled by `fill`
+// when non-nil — the recovery path — and initialized to S0 otherwise),
+// and, on a multi-host session, the transport listening on an ephemeral
+// port. The fixpoint opens in mesh(), once all data addrs are known.
+func newShardCore(m Maintainer, cfg iterative.Config, hostID int, gs *GraphState,
+	fill func(*runtime.SolutionSet) error) (*shardCore, error) {
 	spec, s0, w0 := m.Spec(gs)
 	phys, err := iterative.PlanIncremental(spec, cfg, spec.ExpectedIterations)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	c := &shardCore{
-		name: name, m: m, cfg: cfg, host: hostID, gs: gs,
-		place: runtime.ContiguousPlacement(cfg.Parallelism, cfg.Hosts),
-		mtr:   cfg.Metrics, reg: reg,
-		spec: spec, phys: phys,
-		digest: distrib.PlanDigest(phys),
-	}
-	c.sol = runtime.NewSolutionSetWith(cfg.Parallelism, spec.SolutionKey, spec.Comparator, c.mtr,
+	c := &shardCore{m: m, cfg: cfg, host: hostID, gs: gs, phys: phys,
+		place: runtime.ContiguousPlacement(cfg.Parallelism, cfg.Hosts)}
+	c.setSpec(spec, phys)
+	c.sol = runtime.NewSolutionSetWith(cfg.Parallelism, spec.SolutionKey, spec.Comparator, cfg.Metrics,
 		runtime.SolutionOptions{Backend: cfg.SolutionBackend, MemoryBudget: cfg.SolutionMemoryBudget})
-	if recovered != nil {
-		c.sol.Init(recovered)
+	if fill != nil {
+		if err := fill(c.sol); err != nil {
+			c.sol.Reset()
+			return nil, err
+		}
 	} else {
 		c.sol.Init(s0)
 		c.w0 = w0
 	}
-	c.tr = runtime.NewTCPTransport(hostID, c.place, phys.NumEdges, c.mtr)
-	c.tr.SetCompression(cfg.WireCompression)
-	if reg != nil {
-		c.tr.SetObs(cfg.TraceID, reg.Histogram("transport_send_duration"))
+	if cfg.Hosts > 1 {
+		c.tr = runtime.NewTCPTransport(hostID, c.place, phys.NumEdges, cfg.Metrics)
+		c.tr.SetCompression(cfg.WireCompression)
+		if cfg.Obs != nil {
+			c.tr.SetObs(cfg.TraceID, cfg.Obs.Histogram("transport_send_duration"))
+		}
+		if c.dataAddr, err = c.tr.Listen("127.0.0.1:0"); err != nil {
+			c.sol.Reset()
+			return nil, err
+		}
 	}
-	addr, err := c.tr.Listen("127.0.0.1:0")
-	if err != nil {
-		c.sol.Reset()
-		return nil, "", err
+	return c, nil
+}
+
+// setSpec installs a (re)planned spec: its Source nodes, the edge count
+// the plan was costed with, and the plan digest hosts cross-check.
+func (c *shardCore) setSpec(spec iterative.IncrementalSpec, phys *optimizer.PhysPlan) {
+	c.spec = spec
+	c.sources = sourceNodes(spec)
+	c.planEdges = c.gs.NumEdges()
+	c.digest = distrib.PlanDigest(phys)
+}
+
+// sourceNodes lists a spec's Source nodes in construction order.
+func sourceNodes(spec iterative.IncrementalSpec) []*dataflow.Node {
+	var out []*dataflow.Node
+	for _, n := range spec.Plan.Nodes() {
+		if n.Contract == dataflow.Source {
+			out = append(out, n)
+		}
 	}
-	return c, addr, nil
+	return out
 }
 
 // mesh connects the data plane and opens the resident fixpoint on it.
 // Workers additionally seed their share of the cold workset here; the
 // coordinator drives its own through the barrier.
 func (c *shardCore) mesh(dataAddrs []string, seedCold bool) error {
-	if err := c.tr.ConnectPeers(dataAddrs, distrib.MeshTimeout); err != nil {
-		return err
+	var tr runtime.Transport
+	if c.tr != nil {
+		if err := c.tr.ConnectPeers(dataAddrs, distrib.MeshTimeout); err != nil {
+			return err
+		}
+		tr = c.tr
 	}
-	fx, err := iterative.OpenFixpointOn(c.spec, c.sol, c.cfg, c.phys, c.tr)
+	fx, err := iterative.OpenFixpointOn(c.spec, c.sol, c.cfg, c.phys, tr)
 	if err != nil {
 		return err
 	}
@@ -404,19 +434,29 @@ func (c *shardCore) mesh(dataAddrs []string, seedCold bool) error {
 }
 
 // applyBatch advances the graph replica by one mutation batch and
-// reports whether the batch demands a coordinated full recompute. The
-// classification is a pure function of (replica state, batch), so every
-// host reaches the same verdict — the coordinator cross-checks anyway.
-// Insertions queue on the overlay for candidate derivation; fresh
-// isolated vertices enter the solution directly (deterministic on every
-// host, no coordination needed).
-func (c *shardCore) applyBatch(muts []Mutation) (full bool, err error) {
-	c.fresh = c.fresh[:0]
+// classifies it. Classification reads only pre-batch solution state, and
+// only this host's partitions: labels are the region labels of the
+// deleted edges whose endpoints this host owns, and full reports a
+// deletion the maintainer cannot bound — a pure function of (replica,
+// batch), so every host reaches the same verdict. Dropped vertices leave
+// the solution here; inserts queue on the overlay.
+func (c *shardCore) applyBatch(muts []Mutation) (full bool, labels []int64, err error) {
+	c.fresh, c.newVerts, c.hasDelete = c.fresh[:0], c.newVerts[:0], false
+	var drops []int64
+	noteDelete := func(src, dst int64) {
+		c.hasDelete = true
+		if full {
+			return
+		}
+		ls, ok := c.m.DeleteImpact(c.gs, src, dst, c)
+		if !ok {
+			full = true
+		}
+		labels = append(labels, ls...)
+	}
 	addVertex := func(vid int64) {
 		if c.gs.AddVertex(vid) {
-			if r, ok := c.m.VertexRecord(vid); ok {
-				c.sol.Update(r)
-			}
+			c.newVerts = append(c.newVerts, vid)
 		}
 	}
 	for _, mut := range muts {
@@ -430,153 +470,200 @@ func (c *shardCore) applyBatch(muts []Mutation) (full bool, err error) {
 				c.overlay = append(c.overlay, e)
 				c.fresh = append(c.fresh, e)
 				if existed && oldW != mut.Weight {
-					// Re-weighting is not monotone: repair like a deletion.
-					full = true
+					// Re-weighting an existing edge is not monotone (the
+					// weight may have increased, lengthening paths through
+					// it): repair like a deletion of the old edge.
+					noteDelete(mut.Src, mut.Dst)
 				}
 			}
 		case OpDeleteEdge:
 			if _, ok := c.gs.RemoveEdge(mut.Src, mut.Dst); ok {
-				full = true
+				noteDelete(mut.Src, mut.Dst)
 			}
 		case OpAddVertex:
 			addVertex(mut.Src)
 		case OpDeleteVertex:
-			if c.gs.HasVertex(mut.Src) {
-				c.gs.RemoveVertex(mut.Src)
-				c.sol.Delete(mut.Src)
-				full = true
+			if !c.gs.HasVertex(mut.Src) {
+				continue
 			}
+			for _, e := range c.gs.RemoveVertex(mut.Src) {
+				noteDelete(e.Src, e.Dst)
+			}
+			drops = append(drops, mut.Src)
+			c.hasDelete = true
 		default:
-			return false, fmt.Errorf("live: unknown mutation op %v", mut.Op)
+			return false, nil, fmt.Errorf("live: unknown mutation op %v", mut.Op)
 		}
 	}
-	return full, nil
+	for _, d := range drops {
+		c.sol.Delete(d)
+	}
+	return full, labels, nil
 }
 
-// overlayOverflow reports whether the unfolded edge overlay has outgrown
-// the fast path. Sharded sessions tolerate a far larger overlay than the
-// in-process session (which folds at overlay*8 > edges): folding here
-// means every replica re-derives the spec and re-plans — work that
-// duplicates per host and serializes against the digest cross-check —
-// while an un-folded edge costs only its share of a gather round, which
-// ships nothing once nothing improves. The fixpoint answer is identical
-// either way; the rounds loop re-examines the overlay until quiescence.
-func (c *shardCore) overlayOverflow() bool {
-	return len(c.overlay)*2 > c.gs.NumEdges()
+// region stages the bounded repair of the batch's deletions: the hosted
+// records carrying one of labels (the union over every host) are the
+// region, to be reset, and their surviving incident edges seed the
+// restart. It reports the region's hosted size and this host's record
+// count — summed over hosts, the coordinator's bounded-vs-full decision.
+func (c *shardCore) region(labels []int64) (n, hosted int) {
+	c.resets, c.seed = c.m.RecomputeSeed(c.gs, labels, c)
+	return len(c.resets), c.hostedRecords()
 }
 
-// replan rebuilds the spec and plan over the current graph replica and
-// swaps the session onto it, keeping the mesh. Fixpoint.Rebind cannot be
-// used here: it re-plans without rebinding the transport's per-edge
-// routing state, so a meshed session must tear down the old fixpoint,
-// Rebind the transport to the new plan's edge count, and open a fresh
-// fixpoint on it. full=true additionally resets the solution to S0 and
-// seeds W0 (the coordinated full-recompute path); full=false adopts the
-// converged solution as-is (the overlay fold path). Returns the workset
-// the coordinator should drive (nil unless full).
-func (c *shardCore) replan(full bool) ([]record.Record, error) {
-	spec, s0, w0 := c.m.Spec(c.gs)
-	phys, err := iterative.PlanIncremental(spec, c.cfg, spec.ExpectedIterations)
-	if err != nil {
-		return nil, err
+// absorb opens the batch's candidate rounds: it folds the plan's edge
+// table when the batch deleted — stale edges would resurrect retracted
+// state — or the overlay outgrew it, force-stores the staged region
+// resets (before any candidate reads a label), and enters fresh vertices.
+// It reports whether the fold re-planned.
+func (c *shardCore) absorb() (rebound bool, err error) {
+	if c.hasDelete || len(c.overlay)*8 > c.gs.NumEdges() {
+		if rebound, err = c.fold(); err != nil {
+			return false, err
+		}
 	}
-	c.fx.Close()
-	c.tr.Rebind(phys.NumEdges)
-	if full {
-		c.sol.Reset()
-		c.sol.Init(s0)
+	for _, r := range c.resets {
+		c.sol.ForceStore(r)
 	}
-	fx, err := iterative.OpenFixpointOn(spec, c.sol, c.cfg, phys, c.tr)
-	if err != nil {
-		return nil, err
+	c.resets = nil
+	for _, nv := range c.newVerts {
+		if !c.gs.HasVertex(nv) {
+			continue // added and dropped within the batch
+		}
+		if r, ok := c.m.VertexRecord(nv); ok {
+			c.sol.Update(r)
+		}
 	}
-	c.fx = fx
-	c.spec = spec
-	c.phys = phys
-	c.digest = distrib.PlanDigest(phys)
+	return rebound, nil
+}
+
+// fold brings the plan's edge table up to the graph, overlay included.
+// The spec is rebuilt only to harvest fresh source data, which is copied
+// into the live plan in place: the session, its workers and the mesh
+// survive, the plan (and so its digest) is unchanged, and
+// InvalidateConstants makes the next superstep re-materialize the edge
+// caches. When the edge count has drifted 4x from what the plan was
+// costed with, the fixpoint re-plans instead (Rebind).
+func (c *shardCore) fold() (rebound bool, err error) {
+	edges := c.gs.NumEdges()
+	drifted := edges > 4*c.planEdges || (edges > 0 && c.planEdges > 4*edges)
+	spec, _, _ := c.m.Spec(c.gs)
 	c.overlay = c.overlay[:0]
-	if !full {
-		return nil, nil
+	if drifted {
+		return true, c.rebind(spec)
 	}
-	c.fresh = c.fresh[:0]
-	if c.host != 0 {
-		// Workers seed their share now; the coordinator drives w0 through
-		// RunDriven, which seeds on entry.
-		fx.SeedWorkset(w0)
+	fresh := sourceNodes(spec)
+	if len(fresh) != len(c.sources) {
+		return false, fmt.Errorf("live: maintainer %s produced %d sources, plan has %d",
+			c.m.Name(), len(fresh), len(c.sources))
 	}
+	for i, n := range c.sources {
+		n.Data = fresh[i].Data
+	}
+	c.fx.InvalidateConstants()
+	return false, nil
+}
+
+// rebind re-plans the resident fixpoint for spec, keeping the solution
+// set, the session's workers and the mesh (the transport rebinds to the
+// new plan's edge count).
+func (c *shardCore) rebind(spec iterative.IncrementalSpec) error {
+	if err := c.fx.Rebind(spec); err != nil {
+		return err
+	}
+	c.setSpec(spec, c.fx.Plan())
+	return nil
+}
+
+// recompute is the full recompute's per-host half: re-plan over the
+// current graph, reset the solution to S0, and drop the overlay and the
+// batch's staged repair. It returns W0, which workers seed and the
+// coordinator drives.
+func (c *shardCore) recompute() ([]record.Record, error) {
+	spec, s0, w0 := c.m.Spec(c.gs)
+	if err := c.rebind(spec); err != nil {
+		return nil, err
+	}
+	c.overlay, c.fresh, c.resets, c.seed = c.overlay[:0], c.fresh[:0], nil, nil
+	c.sol.Reset()
+	c.sol.Init(s0)
 	return w0, nil
 }
 
-// hostedReader is the maintainer's solution access during sharded
-// candidate derivation: lookups hit only partitions this host owns.
-// Non-hosted partitions hold stale replicas — and a stale label can mask
-// a propagation the fixpoint still needs — so misses are reported as
-// absent and the maintainer's fallback produces a sound upper-bound
-// candidate (CC: a vertex proposes its own id; SSSP: no candidate). The
-// owning host emits the exact candidate for the same edge, and the
-// merged workset contains both; ∪̇ keeps whichever improves.
-type hostedReader struct{ c *shardCore }
-
-func (r hostedReader) Lookup(k int64) (record.Record, bool) {
-	p := r.c.sol.PartitionFor(k)
-	if r.c.place[p] != r.c.host {
+// Lookup and Each make a shardCore the maintainer's SolutionReader:
+// reads hit only partitions this host owns. Non-hosted partitions hold
+// stale replicas — and a stale label can mask a propagation the fixpoint
+// still needs — so misses are reported as absent and the maintainer's
+// fallback produces a sound upper-bound candidate (CC: a vertex proposes
+// its own id; SSSP: no candidate). The owning host emits the exact
+// candidate for the same edge; ∪̇ keeps whichever improves. On a
+// one-host session every partition is hosted.
+func (c *shardCore) Lookup(k int64) (record.Record, bool) {
+	p := c.sol.PartitionFor(k)
+	if c.place[p] != c.host {
 		return record.Record{}, false
 	}
-	return r.c.sol.Lookup(p, k)
+	return c.sol.Lookup(p, k)
 }
 
-func (r hostedReader) Each(f func(record.Record)) {
-	for _, p := range r.c.place.HostedBy(r.c.host) {
-		r.c.sol.EachPartition(p, f)
+// Each visits the hosted records in ascending partition order.
+func (c *shardCore) Each(f func(record.Record)) {
+	for _, p := range c.place.HostedBy(c.host) {
+		c.sol.EachPartition(p, f)
 	}
 }
 
-// gather derives this host's insert candidates: round 0 covers the
-// current batch's inserts, later rounds re-examine the whole overlay
-// (the converged solution may have moved, re-arming older overlay
-// edges). Two source-side filters keep dead weight off the wire:
+// gather derives this host's candidates for one round, split into the
+// ones keyed to partitions it owns (already checked to improve) and the
+// remote-keyed ones the coordinator routes to their owners. Round 0
+// covers the staged region seed and the batch's inserts; later rounds
+// re-examine the whole overlay (the converged solution may have moved,
+// re-arming older overlay edges). Two source-side filters keep dead
+// weight off the wire:
 //
 //   - A candidate keyed on one endpoint was derived from the *other*
 //     endpoint's label; only that label's owner emits it. The owner's
 //     exact candidate dominates any non-owner fallback under ∪̇ (CC
 //     labels only decrease from the self-id a fallback proposes; SSSP
 //     fallbacks emit nothing), so non-owner emissions are dropped.
-//   - When this host also owns the candidate's own key it can run the
-//     improvement check right here; a non-improving candidate is a ∪̇
-//     no-op in superstep 1, so it never ships. Remote-keyed candidates
-//     still ship unfiltered — only the key's owner can judge them.
-func (c *shardCore) gather(round int) []record.Record {
-	edges := c.fresh
-	if round > 0 {
-		edges = c.overlay
+//   - A remote-keyed candidate that does not beat even the key's initial
+//     vertex record can never beat the owner's current label.
+func (c *shardCore) gather(round int) (own, remote []record.Record) {
+	keep := func(r record.Record) {
+		k := c.spec.SolutionKey(r)
+		if c.ownsKey(k) {
+			if c.improves(r) {
+				own = append(own, r)
+			}
+			return
+		}
+		if init, ok := c.m.VertexRecord(k); ok && c.spec.Comparator != nil && c.spec.Comparator(r, init) <= 0 {
+			return
+		}
+		remote = append(remote, r)
 	}
-	reader := hostedReader{c: c}
-	var out []record.Record
+	edges := c.overlay
+	if round == 0 {
+		for _, r := range c.seed {
+			keep(r)
+		}
+		c.seed = nil
+		edges = c.fresh
+	}
 	for _, e := range edges {
 		ownsSrc, ownsDst := c.ownsKey(e.Src), c.ownsKey(e.Dst)
 		if !ownsSrc && !ownsDst {
 			continue
 		}
-		for _, r := range c.m.InsertDelta(e.Src, e.Dst, e.Weight, reader) {
+		for _, r := range c.m.InsertDelta(e.Src, e.Dst, e.Weight, c) {
 			k := c.spec.SolutionKey(r)
 			if (k == e.Dst && !ownsSrc) || (k == e.Src && !ownsDst) {
 				continue // the other endpoint's owner emits the exact one
 			}
-			if c.ownsKey(k) {
-				if !c.improves(r) {
-					continue
-				}
-			} else if init, ok := c.m.VertexRecord(k); ok && c.spec.Comparator != nil &&
-				c.spec.Comparator(r, init) <= 0 {
-				// The monotone path only ever advances a label from its
-				// initial vertex record; a candidate that does not beat
-				// even that can never beat the owner's current label.
-				continue
-			}
-			out = append(out, r)
+			keep(r)
 		}
 	}
-	return out
+	return own, remote
 }
 
 // ownsKey reports whether this host hosts the solution partition of k.
@@ -585,7 +672,9 @@ func (c *shardCore) ownsKey(k int64) bool {
 }
 
 // improves reports whether r would advance the current solution entry
-// for its key (callers ensure the key's partition is hosted here).
+// for its key (callers ensure the key's partition is hosted here) — the
+// comparator-based no-op check that lets the candidate rounds detect
+// convergence.
 func (c *shardCore) improves(r record.Record) bool {
 	k := c.spec.SolutionKey(r)
 	old, ok := c.sol.Lookup(c.sol.PartitionFor(k), k)
@@ -598,85 +687,34 @@ func (c *shardCore) improves(r record.Record) bool {
 	return !old.Equal(r)
 }
 
-// collapseCandidates canonicalizes the merged candidate workset: sorted
-// by solution key, and collapsed to the single best candidate per key.
-// Owners emit exact candidates and non-owners emit sound fallbacks for
-// the same edges, so the raw merge carries duplicates ∪̇ would discard in
-// the first superstep anyway — collapsing them here keeps the dead
-// weight off the wire and out of the seed scans.
-func (c *shardCore) collapseCandidates(ws []record.Record) []record.Record {
-	key := c.spec.SolutionKey
-	sort.Slice(ws, func(i, j int) bool {
-		ki, kj := key(ws[i]), key(ws[j])
-		if ki != kj {
-			return ki < kj
-		}
-		return record.Less(ws[i], ws[j])
-	})
-	cmp := c.spec.Comparator
-	if cmp == nil {
-		// Without an improvement order there is no "best": keep every
-		// distinct candidate and let ∪̇ arbitrate.
-		return ws
-	}
-	out := ws[:0]
-	for _, r := range ws {
-		if len(out) > 0 && key(out[len(out)-1]) == key(r) {
-			if cmp(r, out[len(out)-1]) > 0 {
-				out[len(out)-1] = r
-			}
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
-// splitByHost routes a candidate workset to the hosts that will read it:
-// each record goes to the owner of its solution partition (the improving
-// check) and, if different, the owner of its workset partition (the
-// engine's seed). For the built-in maintainers both keys are the vertex
-// id, so every record lands on exactly one host.
-func (c *shardCore) splitByHost(ws []record.Record) [][]record.Record {
+// route splits remote-keyed candidates by the host owning their key. The
+// built-in maintainers key solution and workset alike (the vertex id), so
+// the key's owner is also the host whose partition the engine seeds.
+func (c *shardCore) route(ws []record.Record) [][]record.Record {
 	out := make([][]record.Record, c.cfg.Hosts)
 	for _, r := range ws {
-		hs := c.place[c.sol.PartitionFor(c.spec.SolutionKey(r))]
-		out[hs] = append(out[hs], r)
-		if hw := c.place[record.PartitionOf(c.spec.WorksetKey(r), c.cfg.Parallelism)]; hw != hs {
-			out[hw] = append(out[hw], r)
-		}
+		h := c.place[c.sol.PartitionFor(c.spec.SolutionKey(r))]
+		out[h] = append(out[h], r)
 	}
 	return out
 }
 
-// countImproving counts merged-workset candidates that would advance a
-// partition this host owns — the distributed form of the in-process
-// filterImproving convergence check. The global sum across hosts is
-// exact: every key has exactly one owner.
-func (c *shardCore) countImproving(ws []record.Record) int {
-	n := 0
-	for _, r := range ws {
-		if c.ownsKey(c.spec.SolutionKey(r)) && c.improves(r) {
-			n++
+// admit appends the routed-in candidates that improve a hosted entry to
+// this host's own (already checked) ones: the workset this host seeds.
+func (c *shardCore) admit(own, routed []record.Record) []record.Record {
+	for _, r := range routed {
+		if c.improves(r) {
+			own = append(own, r)
 		}
 	}
-	return n
+	return own
 }
 
-// lookup probes a hosted partition (callers route by placement).
-func (c *shardCore) lookup(k int64) (record.Record, bool) {
-	p := c.sol.PartitionFor(k)
-	if c.place[p] != c.host {
-		return record.Record{}, false
-	}
-	return c.sol.Lookup(p, k)
-}
-
-// collect serializes the hosted partitions, one frame per partition in
-// ascending partition order, records sorted canonically within each.
-func (c *shardCore) collect() []byte {
+// collect serializes the partitions host h owns, one frame per partition
+// in ascending partition order, records sorted canonically within each.
+func (c *shardCore) collect(h int) []byte {
 	var out []byte
-	for _, p := range c.place.HostedBy(c.host) {
+	for _, p := range c.place.HostedBy(h) {
 		var b record.Batch
 		c.sol.EachPartition(p, func(r record.Record) {
 			b = append(b, r)
@@ -690,8 +728,10 @@ func (c *shardCore) collect() []byte {
 // hostedRecords counts the records in this host's partitions.
 func (c *shardCore) hostedRecords() int {
 	n := 0
-	for _, p := range c.place.HostedBy(c.host) {
-		c.sol.EachPartition(p, func(record.Record) { n++ })
+	for p, h := range c.place {
+		if h == c.host {
+			n += c.sol.PartitionSize(p)
+		}
 	}
 	return n
 }
@@ -702,6 +742,8 @@ func (c *shardCore) close() {
 		c.fx.Close()
 		c.fx = nil
 	}
-	c.tr.Close()
+	if c.tr != nil {
+		c.tr.Close()
+	}
 	c.sol.Reset()
 }

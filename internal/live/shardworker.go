@@ -7,6 +7,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/record"
+	"repro/internal/runtime"
 )
 
 // WorkerHost hosts sharded view maintenance sessions inside a `spinflow
@@ -87,18 +88,25 @@ func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *jso
 			if err != nil {
 				return fail(err)
 			}
-			full, err := core.applyBatch(muts)
+			full, labels, err := core.applyBatch(muts)
 			if err != nil {
 				return fail(err)
 			}
-			if err := enc.Encode(shardMsg{Kind: viewApplied, Full: full}); err != nil {
+			if err := enc.Encode(shardMsg{Kind: viewApplied, Full: full, Labels: labels}); err != nil {
 				return err
 			}
-		case viewReplan:
-			if _, err := core.replan(req.Full); err != nil {
+		case viewRegion:
+			n, hosted := core.region(req.Labels)
+			if err := enc.Encode(shardMsg{Kind: viewRegioned, Count: n, Hosted: hosted}); err != nil {
+				return err
+			}
+		case viewRecompute:
+			w0, err := core.recompute()
+			if err != nil {
 				return fail(err)
 			}
-			if err := enc.Encode(shardMsg{Kind: viewReplanned, Digest: core.digest}); err != nil {
+			core.fx.SeedWorkset(w0)
+			if err := enc.Encode(shardMsg{Kind: viewRecomputed, Digest: core.digest}); err != nil {
 				return err
 			}
 		case viewGather:
@@ -106,16 +114,15 @@ func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *jso
 			// only remote-keyed ones travel, with Count telling the
 			// coordinator how many were retained so it can detect a
 			// globally empty round.
-			shares := core.splitByHost(core.gather(req.Round))
-			core.pending = shares[core.host]
-			var outbound []record.Record
-			for i, sh := range shares {
-				if i != core.host {
-					outbound = append(outbound, sh...)
+			if req.Round == 0 {
+				if _, err := core.absorb(); err != nil {
+					return fail(err)
 				}
 			}
+			own, remote := core.gather(req.Round)
+			core.pending = own
 			if err := enc.Encode(shardMsg{Kind: viewCand,
-				Frames: packRecords(outbound), Count: len(core.pending)}); err != nil {
+				Frames: packRecords(remote), Count: len(own), Digest: core.digest}); err != nil {
 				return err
 			}
 		case viewSeed:
@@ -123,11 +130,10 @@ func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *jso
 			if err != nil {
 				return fail(err)
 			}
-			recs = core.collapseCandidates(append(recs, core.pending...))
+			ws := core.admit(core.pending, recs)
 			core.pending = nil
-			n := core.countImproving(recs)
-			core.fx.SeedWorkset(recs)
-			if err := enc.Encode(shardMsg{Kind: viewSeeded, Count: n}); err != nil {
+			core.fx.SeedWorkset(ws)
+			if err := enc.Encode(shardMsg{Kind: viewSeeded, Count: len(ws)}); err != nil {
 				return err
 			}
 		case viewStep:
@@ -140,9 +146,9 @@ func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *jso
 			}
 		case viewQuery:
 			reply := shardMsg{Kind: viewValue}
-			if r, ok := core.lookup(req.Key); ok {
+			if r, ok := core.Lookup(req.Key); ok {
 				reply.Found = true
-				reply.Frames = recordsToFrames([]record.Record{r})
+				reply.Frames = packRecords([]record.Record{r})
 			}
 			if err := enc.Encode(reply); err != nil {
 				return err
@@ -152,7 +158,7 @@ func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *jso
 			if h.reg != nil && core.cfg.TraceID != 0 {
 				spans = h.reg.Trace().SpansFor(core.cfg.TraceID)
 			}
-			if err := enc.Encode(shardMsg{Kind: viewSolution, Frames: core.collect(), Spans: spans}); err != nil {
+			if err := enc.Encode(shardMsg{Kind: viewSolution, Frames: core.collect(core.host), Spans: spans}); err != nil {
 				return err
 			}
 		case viewStats:
@@ -182,17 +188,14 @@ func (h *WorkerHost) openCore(msg shardMsg) (*shardCore, error) {
 	if err != nil {
 		return nil, err
 	}
-	var recovered []record.Record
+	var fill func(*runtime.SolutionSet) error
 	if msg.Sol != nil {
-		if recovered, err = framesToRecords(msg.Sol); err != nil {
-			return nil, err
+		fill = func(sol *runtime.SolutionSet) error {
+			recs, err := framesToRecords(msg.Sol)
+			sol.Init(recs)
+			return err
 		}
 	}
 	cfg := specFor(ss, msg.HostID, h.reg, &metrics.Counters{})
-	core, addr, err := newShardCore(ss.Name, m, cfg, msg.HostID, gs, recovered, h.reg)
-	if err != nil {
-		return nil, err
-	}
-	core.dataAddr = addr
-	return core, nil
+	return newShardCore(m, cfg, msg.HostID, gs, fill)
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/iterative"
 	"repro/internal/obs"
 	"repro/internal/record"
+	"repro/internal/runtime"
 )
 
 // Durability for live views (§4.2 applied to the serving layer): a
@@ -377,7 +378,7 @@ func pruneSnapshots(dir string) {
 // writeSnapshotTo streams the view's durable base state — graph
 // vertices, graph edges, and this process's resident solution records —
 // in checkpoint format. The solution section is streamed through
-// SessionProvider.EachSolution: peak memory is one frame plus the
+// session.EachSolution: peak memory is one frame plus the
 // writer's buffer, never a second copy of the solution (spilled
 // partitions stream from disk to disk). For a sharded view (workerShards
 // > 0) the kind switches to live-sharded:, the solution section holds
@@ -392,20 +393,7 @@ func (v *LiveView) writeSnapshotTo(w io.Writer, seq uint64, workerShards int) er
 	if err != nil {
 		return err
 	}
-	for _, vid := range v.gs.Vertices() {
-		if err := cw.Append(record.Record{A: vid}); err != nil {
-			return err
-		}
-	}
-	if err := cw.EndSection(); err != nil {
-		return err
-	}
-	for _, e := range v.gs.edges {
-		if err := cw.Append(record.Record{A: e.Src, B: e.Dst, X: e.Weight}); err != nil {
-			return err
-		}
-	}
-	if err := cw.EndSection(); err != nil {
+	if err := v.gs.writeGraph(cw.Append, cw.EndSection); err != nil {
 		return err
 	}
 	if err := v.sess.EachSolution(cw.Append); err != nil {
@@ -458,13 +446,9 @@ func (v *LiveView) snapshotLocked() error {
 	if err != nil {
 		return fmt.Errorf("live: view %q shard collect: %w", v.name, err)
 	}
-	hostIDs := make([]int, 0, len(shards))
-	for h := range shards {
-		hostIDs = append(hostIDs, h)
-	}
-	sort.Ints(hostIDs)
-	for _, h := range hostIDs {
-		recs, err := framesToRecords(shards[h])
+	for i, frames := range shards {
+		h := i + 1
+		recs, err := framesToRecords(frames)
 		if err != nil {
 			return fmt.Errorf("live: view %q shard %d payload: %w", v.name, h, err)
 		}
@@ -500,76 +484,29 @@ func (v *LiveView) snapshotLocked() error {
 	return nil
 }
 
-// loadSnapshot streams one snapshot file back: the graph sections are
-// applied to a fresh GraphState, the maintainer's spec is opened over it,
-// and the solution section is bulk-loaded frame by frame — mirroring the
-// writer, the full solution is never materialized outside the set itself.
-func loadSnapshot(path string, m Maintainer, cfg ViewConfig) (gs *GraphState, fx *iterative.Fixpoint, spec iterative.IncrementalSpec, seq uint64, err error) {
-	f, err := os.Open(path)
+// openSnapshot opens snapshot seq of either format — plain (live:) or
+// sharded (live-sharded: base plus its .shard<h> siblings) — and reads
+// its graph sections into a fresh GraphState. The returned fill streams
+// the solution records into a solution set frame by frame, the base
+// section and then every shard file, mirroring the writer: the full
+// solution is never materialized outside the set, and the records
+// re-partition under whatever session the recovering view opens, so
+// worker counts may change across restarts. Any missing or mismatched
+// shard file fails fill, and the caller falls back to an older snapshot.
+// The caller closes f once fill has run.
+func openSnapshot(dir string, seq uint64, m Maintainer) (gs *GraphState, fill func(*runtime.SolutionSet) error, f *os.File, err error) {
+	f, err = os.Open(filepath.Join(dir, snapshotName(seq)))
 	if err != nil {
-		return nil, nil, spec, 0, err
+		return nil, nil, nil, err
 	}
-	defer f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	cr, err := iterative.NewCheckpointReader(f)
 	if err != nil {
-		return nil, nil, spec, 0, err
-	}
-	if want := snapshotKindPrefix + m.Name(); cr.Kind() != want {
-		return nil, nil, spec, 0, fmt.Errorf("live: snapshot kind %q, view wants %q", cr.Kind(), want)
-	}
-	seq = cr.Iteration()
-	gs = NewGraphState()
-	if err := cr.ReadSection(func(b record.Batch) error {
-		for _, r := range b {
-			gs.AddVertex(r.A)
-		}
-		return nil
-	}); err != nil {
-		return nil, nil, spec, 0, fmt.Errorf("live: snapshot vertices: %w", err)
-	}
-	if err := cr.ReadSection(func(b record.Batch) error {
-		for _, r := range b {
-			gs.AddEdge(r.A, r.B, r.X)
-		}
-		return nil
-	}); err != nil {
-		return nil, nil, spec, 0, fmt.Errorf("live: snapshot edges: %w", err)
-	}
-	spec, _, _ = m.Spec(gs)
-	fx, err = iterative.OpenFixpoint(spec, nil, cfg.Config)
-	if err != nil {
-		return nil, nil, spec, 0, err
-	}
-	if err := cr.ReadSection(func(b record.Batch) error {
-		fx.Solution().Init(b)
-		return nil
-	}); err != nil {
-		fx.Close()
-		return nil, nil, spec, 0, fmt.Errorf("live: snapshot solution: %w", err)
-	}
-	if err := cr.ReadSection(func(record.Batch) error { return nil }); err != io.EOF {
-		fx.Close()
-		return nil, nil, spec, 0, fmt.Errorf("live: trailing data after snapshot solution")
-	}
-	return gs, fx, spec, seq, nil
-}
-
-// loadSnapshotRecords loads a snapshot of either format — plain (live:)
-// or sharded (live-sharded: base plus its .shard<h> siblings) — into the
-// graph and the full materialized solution record set. This is the
-// topology-independent loader: the records re-partition under whatever
-// session the recovering view opens, so worker counts may change across
-// restarts. Any missing or mismatched shard file fails the whole seq, and
-// the caller falls back to an older snapshot.
-func loadSnapshotRecords(dir string, seq uint64, m Maintainer) (*GraphState, []record.Record, error) {
-	f, err := os.Open(filepath.Join(dir, snapshotName(seq)))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	cr, err := iterative.NewCheckpointReader(f)
-	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	var sharded bool
 	switch cr.Kind() {
@@ -577,88 +514,75 @@ func loadSnapshotRecords(dir string, seq uint64, m Maintainer) (*GraphState, []r
 	case snapshotShardedKindPrefix + m.Name():
 		sharded = true
 	default:
-		return nil, nil, fmt.Errorf("live: snapshot kind %q, view wants %q", cr.Kind(), m.Name())
+		return nil, nil, nil, fmt.Errorf("live: snapshot kind %q, view wants %q", cr.Kind(), m.Name())
 	}
-	gs := NewGraphState()
-	if err := cr.ReadSection(func(b record.Batch) error {
-		for _, r := range b {
-			gs.AddVertex(r.A)
-		}
-		return nil
-	}); err != nil {
-		return nil, nil, fmt.Errorf("live: snapshot vertices: %w", err)
+	if cr.Iteration() != seq {
+		return nil, nil, nil, fmt.Errorf("live: snapshot file for seq %d covers seq %d", seq, cr.Iteration())
 	}
-	if err := cr.ReadSection(func(b record.Batch) error {
-		for _, r := range b {
-			gs.AddEdge(r.A, r.B, r.X)
-		}
-		return nil
-	}); err != nil {
-		return nil, nil, fmt.Errorf("live: snapshot edges: %w", err)
+	if gs, err = readGraph(cr.ReadSection); err != nil {
+		return nil, nil, nil, fmt.Errorf("live: snapshot: %w", err)
 	}
-	recs := []record.Record{} // non-nil: an empty solution still recovers
-	if err := cr.ReadSection(func(b record.Batch) error {
-		recs = append(recs, b...)
-		return nil
-	}); err != nil {
-		return nil, nil, fmt.Errorf("live: snapshot solution: %w", err)
-	}
-	hosts := 1
-	if sharded {
-		var meta []record.Record
-		if err := cr.ReadSection(func(b record.Batch) error {
-			meta = append(meta, b...)
+	fill = func(sol *runtime.SolutionSet) error {
+		load := func(b record.Batch) error {
+			sol.Init(b)
 			return nil
-		}); err != nil {
-			return nil, nil, fmt.Errorf("live: snapshot shard meta: %w", err)
 		}
-		if len(meta) != 1 || meta[0].A < 1 {
-			return nil, nil, fmt.Errorf("live: malformed snapshot shard meta")
+		if err := cr.ReadSection(load); err != nil {
+			return fmt.Errorf("live: snapshot solution: %w", err)
 		}
-		hosts = int(meta[0].A)
-	}
-	if err := cr.ReadSection(func(record.Batch) error { return nil }); err != io.EOF {
-		return nil, nil, fmt.Errorf("live: trailing data after snapshot")
-	}
-	for h := 1; h < hosts; h++ {
-		shard, err := readShardFile(filepath.Join(dir, shardSnapshotName(seq, h)), snapshotShardKindPrefix+m.Name(), seq)
-		if err != nil {
-			return nil, nil, fmt.Errorf("live: snapshot shard %d: %w", h, err)
+		hosts := 1
+		if sharded {
+			var meta []record.Record
+			if err := cr.ReadSection(func(b record.Batch) error {
+				meta = append(meta, b...)
+				return nil
+			}); err != nil {
+				return fmt.Errorf("live: snapshot shard meta: %w", err)
+			}
+			if len(meta) != 1 || meta[0].A < 1 {
+				return fmt.Errorf("live: malformed snapshot shard meta")
+			}
+			hosts = int(meta[0].A)
 		}
-		recs = append(recs, shard...)
+		if err := cr.ReadSection(func(record.Batch) error { return nil }); err != io.EOF {
+			return fmt.Errorf("live: trailing data after snapshot")
+		}
+		for h := 1; h < hosts; h++ {
+			path := filepath.Join(dir, shardSnapshotName(seq, h))
+			if err := readShardFile(path, snapshotShardKindPrefix+m.Name(), seq, load); err != nil {
+				return fmt.Errorf("live: snapshot shard %d: %w", h, err)
+			}
+		}
+		return nil
 	}
-	return gs, recs, nil
+	return gs, fill, f, nil
 }
 
-// readShardFile loads one worker host's hosted partitions back out of its
-// shard file, validating the kind and covered seq.
-func readShardFile(path, wantKind string, seq uint64) ([]record.Record, error) {
+// readShardFile streams one worker host's hosted partitions back out of
+// its shard file, validating the kind and covered seq.
+func readShardFile(path, wantKind string, seq uint64, load func(record.Batch) error) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
 	cr, err := iterative.NewCheckpointReader(f)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if cr.Kind() != wantKind {
-		return nil, fmt.Errorf("live: shard kind %q, want %q", cr.Kind(), wantKind)
+		return fmt.Errorf("live: shard kind %q, want %q", cr.Kind(), wantKind)
 	}
 	if cr.Iteration() != seq {
-		return nil, fmt.Errorf("live: shard covers seq %d, base snapshot %d", cr.Iteration(), seq)
+		return fmt.Errorf("live: shard covers seq %d, base snapshot %d", cr.Iteration(), seq)
 	}
-	var recs []record.Record
-	if err := cr.ReadSection(func(b record.Batch) error {
-		recs = append(recs, b...)
-		return nil
-	}); err != nil {
-		return nil, err
+	if err := cr.ReadSection(load); err != nil {
+		return err
 	}
 	if err := cr.ReadSection(func(record.Batch) error { return nil }); err != io.EOF {
-		return nil, fmt.Errorf("live: trailing data after shard records")
+		return fmt.Errorf("live: trailing data after shard records")
 	}
-	return recs, nil
+	return nil
 }
 
 // --- open / create / recover --------------------------------------------
@@ -774,30 +698,23 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string) (*LiveVi
 		loaded  bool
 	)
 	for _, s := range snaps {
-		if len(cfg.Workers) == 0 {
-			// In-process recovery streams the snapshot straight into the
-			// solution set — the full solution is never materialized.
-			gs, fx, spec, seq, lerr := loadSnapshot(filepath.Join(dir, snapshotName(s)), m, cfg)
-			if lerr == nil {
-				v = assembleView(name, m, cfg, gs, nil)
-				v.sess = adoptLocalSession(v, fx, spec)
-				snapSeq, loaded = seq, true
-				break
-			}
-		}
-		// Sharded sessions — and topology changes in either direction (a
-		// sharded snapshot recovering in-process, or vice versa) — go
-		// through the record-materializing loader: the record set
-		// re-partitions under whichever session the config opens.
-		gs, recs, lerr := loadSnapshotRecords(dir, s, m)
+		gs, fill, f, lerr := openSnapshot(dir, s, m)
 		if lerr != nil {
 			// An unreadable snapshot falls back to its predecessor; the
 			// WAL base check below catches the case where the log no
 			// longer reaches back that far.
 			continue
 		}
-		cand := assembleView(name, m, cfg, gs, nil)
-		sess, serr := cand.openSession(recs)
+		var fillErr error
+		cand := assembleView(name, m, cfg, gs)
+		sess, serr := openSession(cand, func(sol *runtime.SolutionSet) error {
+			fillErr = fill(sol)
+			return fillErr
+		})
+		f.Close()
+		if fillErr != nil {
+			continue
+		}
 		if serr != nil {
 			// Session open failure (e.g. a worker is unreachable) is an
 			// environment error, not snapshot corruption: fail now rather
@@ -831,8 +748,8 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string) (*LiveVi
 			return nil, fmt.Errorf("live: view %q has no readable snapshot but its wal starts at frame %d", name, base+1)
 		}
 		rebuildSeq, rebuildSize = seq, size
-		v = assembleView(name, m, cfg, gs, nil)
-		sess, err := v.openSession(nil)
+		v = assembleView(name, m, cfg, gs)
+		sess, err := openSession(v, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -29,7 +29,7 @@ func chain(n int64) []Mutation {
 
 func mustComp(t *testing.T, v *LiveView, vertex, want int64) {
 	t.Helper()
-	r, ok := v.Query(vertex)
+	r, ok := queryOf(t, v, vertex)
 	if !ok {
 		t.Fatalf("vertex %d missing from solution", vertex)
 	}
@@ -246,7 +246,7 @@ func TestRecoveryFallsBackToPreviousSnapshot(t *testing.T) {
 	}
 	defer v2.Close()
 	mustComp(t, v2, 2, 0)
-	if _, ok := v2.Query(51); ok {
+	if _, ok := queryOf(t, v2, 51); ok {
 		t.Fatal("vertex 51 resurrected from a snapshot that never held it")
 	}
 }
@@ -321,7 +321,7 @@ func TestSchedulerRecoverRestoresViews(t *testing.T) {
 	if !ok {
 		t.Fatal("paths view not recovered")
 	}
-	if r, ok := paths.Query(2); !ok || r.X != 5 {
+	if r, ok := queryOf(t, paths, 2); !ok || r.X != 5 {
 		t.Fatalf("dist(2) after recovery = %v (ok=%v), want 5", r.X, ok)
 	}
 
@@ -363,7 +363,7 @@ func TestSchedulerCreateClearsCrashedCreateLeftovers(t *testing.T) {
 	}
 	defer s.Close()
 	mustComp(t, v, 8, 7)
-	if _, ok := v.Query(0); ok {
+	if _, ok := queryOf(t, v, 0); ok {
 		t.Fatal("crashed create's edge resurrected into the new view")
 	}
 }

@@ -270,11 +270,16 @@ func (s *SolutionSet) Delete(k int64) bool {
 func (s *SolutionSet) Size() int {
 	n := 0
 	for p := 0; p < s.par; p++ {
-		s.locks[p].Lock()
-		n += s.backend.Len(p)
-		s.locks[p].Unlock()
+		n += s.PartitionSize(p)
 	}
 	return n
+}
+
+// PartitionSize returns the number of records in one partition.
+func (s *SolutionSet) PartitionSize(part int) int {
+	s.locks[part].Lock()
+	defer s.locks[part].Unlock()
+	return s.backend.Len(part)
 }
 
 // Snapshot copies all records out (order unspecified). Spilled partitions
