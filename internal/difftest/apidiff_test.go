@@ -49,28 +49,28 @@ func TestRunAPIByteCompatAcrossEngines(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				return res.Solution, nil
+				return release(res), nil
 			}},
 			{"incr-cogroup", func(cfg iterative.Config) ([]record.Record, error) {
 				_, res, err := algorithms.CCIncremental(g, algorithms.CCCoGroup, cfg)
 				if err != nil {
 					return nil, err
 				}
-				return res.Solution, nil
+				return release(res), nil
 			}},
 			{"microstep", func(cfg iterative.Config) ([]record.Record, error) {
 				_, res, err := algorithms.CCMicrostepAsync(g, cfg)
 				if err != nil {
 					return nil, err
 				}
-				return res.Solution, nil
+				return release(res), nil
 			}},
 			{"auto", func(cfg iterative.Config) ([]record.Record, error) {
 				_, res, err := algorithms.CCAuto(g, cfg)
 				if err != nil {
 					return nil, err
 				}
-				return res.Solution, nil
+				return release(&res.IncrementalResult), nil
 			}},
 		}
 
@@ -114,14 +114,14 @@ func TestSSSPAPIByteCompat(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				return res.Solution, nil
+				return release(res), nil
 			}},
 			{"microstep", func(cfg iterative.Config) ([]record.Record, error) {
 				_, res, err := algorithms.SSSPMicrostep(we, source, cfg)
 				if err != nil {
 					return nil, err
 				}
-				return res.Solution, nil
+				return release(res), nil
 			}},
 		}
 		var base []byte

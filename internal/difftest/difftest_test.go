@@ -36,6 +36,15 @@ var backends = []struct {
 	}},
 }
 
+// release drops a run's resident solution set — under the spill budget
+// it holds temp files until reset — and returns the run's records.
+func release(res *iterative.IncrementalResult) []record.Record {
+	if res.Set != nil {
+		res.Set.Reset()
+	}
+	return res.Solution
+}
+
 func assertComponentsEqual(t *testing.T, ctx string, got, want map[int64]int64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -59,22 +68,25 @@ func TestConnectedComponentsAcrossEngines(t *testing.T) {
 				cfg := bk.cfg(iterative.Config{Parallelism: par})
 				name := fmt.Sprintf("%s/p%d/%s", g.Name, par, bk.name)
 
-				got, _, err := algorithms.CCIncremental(g, algorithms.CCCoGroup, cfg)
+				got, res, err := algorithms.CCIncremental(g, algorithms.CCCoGroup, cfg)
 				if err != nil {
 					t.Fatalf("%s: incr-cogroup: %v", name, err)
 				}
+				release(res)
 				assertComponentsEqual(t, name+"/incr-cogroup", got, oracle)
 
-				got, _, err = algorithms.CCIncremental(g, algorithms.CCMatch, cfg)
+				got, res, err = algorithms.CCIncremental(g, algorithms.CCMatch, cfg)
 				if err != nil {
 					t.Fatalf("%s: incr-match: %v", name, err)
 				}
+				release(res)
 				assertComponentsEqual(t, name+"/incr-match", got, oracle)
 
-				got, _, err = algorithms.CCMicrostepAsync(g, cfg)
+				got, res, err = algorithms.CCMicrostepAsync(g, cfg)
 				if err != nil {
 					t.Fatalf("%s: microstep: %v", name, err)
 				}
+				release(res)
 				assertComponentsEqual(t, name+"/microstep", got, oracle)
 			}
 
@@ -125,16 +137,18 @@ func TestSSSPAcrossEngines(t *testing.T) {
 				cfg := bk.cfg(iterative.Config{Parallelism: par})
 				name := fmt.Sprintf("%s/p%d/%s", g.Name, par, bk.name)
 
-				got, _, err := algorithms.SSSP(we, source, cfg)
+				got, res, err := algorithms.SSSP(we, source, cfg)
 				if err != nil {
 					t.Fatalf("%s: incremental: %v", name, err)
 				}
+				release(res)
 				assertDistancesEqual(t, name+"/incremental", got, oracle)
 
-				got, _, err = algorithms.SSSPMicrostep(we, source, cfg)
+				got, res, err = algorithms.SSSPMicrostep(we, source, cfg)
 				if err != nil {
 					t.Fatalf("%s: microstep: %v", name, err)
 				}
+				release(res)
 				assertDistancesEqual(t, name+"/microstep", got, oracle)
 			}
 
@@ -171,7 +185,7 @@ func TestBackendIndependenceByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", bk.name, err)
 		}
-		got := canonical(res.Solution)
+		got := canonical(release(res))
 		if i == 0 {
 			base = got
 			continue

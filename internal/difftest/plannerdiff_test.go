@@ -86,7 +86,7 @@ func TestPlannerDifferentialCC(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					got := canonicalRecords(res.Solution)
+					got := canonicalRecords(release(res))
 					if i == 0 {
 						base = got
 						continue
@@ -115,7 +115,7 @@ func TestPlannerDifferentialSSSP(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				got := canonicalRecords(res.Solution)
+				got := canonicalRecords(release(res))
 				if i == 0 {
 					base = got
 					continue

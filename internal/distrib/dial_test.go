@@ -32,7 +32,7 @@ func TestDialWorkerRetriesLateWorker(t *testing.T) {
 		go ServeWorker(late, nil, nil)
 	}()
 
-	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 40, GraphM: 80, Seed: 0xD1A1, Parallelism: 2}
+	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 40, GraphM: 80, Seed: 0xD1A1, Exec: Exec{Parallelism: 2}}
 	want := runSingle(t, js)
 	got, err := Run(js, []string{addr})
 	if err != nil {
@@ -74,8 +74,8 @@ func TestDialWorkerGivesUp(t *testing.T) {
 // must see real traffic (CC on a few hundred edges ships frames well over
 // the compression floor).
 func TestWireCompressionRoundTrip(t *testing.T) {
-	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 200, GraphM: 500, Seed: 0xC0DE, Parallelism: 4,
-		WireCompression: true}
+	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 200, GraphM: 500, Seed: 0xC0DE,
+		Exec: Exec{Parallelism: 4, WireCompression: true}}
 	want := runSingle(t, js)
 	got, err := Run(js, startWorkers(t, 1))
 	if err != nil {

@@ -3,10 +3,12 @@ package distrib
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/iterative"
 	"repro/internal/obs"
@@ -71,10 +73,10 @@ func encodeAll(recs []record.Record) []byte {
 
 func TestDistributedMatchesSingleProcess(t *testing.T) {
 	jobs := []JobSpec{
-		{Algorithm: "cc", GraphKind: "uniform", GraphN: 80, GraphM: 160, Seed: 0xD157, Parallelism: 4},
-		{Algorithm: "cc-cogroup", GraphKind: "uniform", GraphN: 60, GraphM: 100, Seed: 0xD158, Parallelism: 2},
-		{Algorithm: "sssp", GraphKind: "uniform", GraphN: 70, GraphM: 180, Seed: 0xD159, Parallelism: 4, Source: 3},
-		{Algorithm: "cc", GraphKind: "pa", GraphN: 90, GraphM: 270, Seed: 0xD15A, Parallelism: 4, Backend: "map"},
+		{Algorithm: "cc", GraphKind: "uniform", GraphN: 80, GraphM: 160, Seed: 0xD157, Exec: Exec{Parallelism: 4}},
+		{Algorithm: "cc-cogroup", GraphKind: "uniform", GraphN: 60, GraphM: 100, Seed: 0xD158, Exec: Exec{Parallelism: 2}},
+		{Algorithm: "sssp", GraphKind: "uniform", GraphN: 70, GraphM: 180, Seed: 0xD159, Source: 3, Exec: Exec{Parallelism: 4}},
+		{Algorithm: "cc", GraphKind: "pa", GraphN: 90, GraphM: 270, Seed: 0xD15A, Exec: Exec{Parallelism: 4, Backend: "map"}},
 	}
 	for _, js := range jobs {
 		js := js
@@ -96,7 +98,7 @@ func TestDistributedMatchesSingleProcess(t *testing.T) {
 }
 
 func TestDistributedThreeProcesses(t *testing.T) {
-	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 96, GraphM: 200, Seed: 0xD15B, Parallelism: 6}
+	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 96, GraphM: 200, Seed: 0xD15B, Exec: Exec{Parallelism: 6}}
 	want := runSingle(t, js)
 	got, err := Run(js, startWorkers(t, 2))
 	if err != nil {
@@ -111,7 +113,7 @@ func TestDistributedThreeProcesses(t *testing.T) {
 // degenerate 1-host placement must behave exactly like the plain driver
 // (all partitions hosted, the transport never used).
 func TestDistributedSingleHost(t *testing.T) {
-	js := JobSpec{Algorithm: "sssp", GraphKind: "uniform", GraphN: 50, GraphM: 120, Seed: 0xD15C, Parallelism: 2, Source: 1}
+	js := JobSpec{Algorithm: "sssp", GraphKind: "uniform", GraphN: 50, GraphM: 120, Seed: 0xD15C, Source: 1, Exec: Exec{Parallelism: 2}}
 	want := runSingle(t, js)
 	got, err := Run(js, nil)
 	if err != nil {
@@ -128,7 +130,7 @@ func TestDistributedSingleHost(t *testing.T) {
 // TestDistributedRemoteTrafficCounted checks the new transport metrics
 // actually observe the shuffle: a 2-process CC run must ship batches.
 func TestDistributedRemoteTrafficCounted(t *testing.T) {
-	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 80, GraphM: 200, Seed: 0xD15D, Parallelism: 4}
+	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 80, GraphM: 200, Seed: 0xD15D, Exec: Exec{Parallelism: 4}}
 	got, err := Run(js, startWorkers(t, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +149,7 @@ func TestWorkerSurvivesSequentialJobs(t *testing.T) {
 	addrs := startWorkers(t, 1)
 	for i := 0; i < 3; i++ {
 		js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 40, GraphM: 80,
-			Seed: 0xD15E + uint64(i), Parallelism: 2}
+			Seed: 0xD15E + uint64(i), Exec: Exec{Parallelism: 2}}
 		want := runSingle(t, js)
 		got, err := Run(js, addrs)
 		if err != nil {
@@ -164,7 +166,7 @@ func TestWorkerSurvivesSequentialJobs(t *testing.T) {
 // under the single trace ID the coordinator minted, reassembled into the
 // coordinator's ring — and the differential result must be unaffected.
 func TestDistributedTracePropagation(t *testing.T) {
-	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 80, GraphM: 160, Seed: 0xD15F, Parallelism: 4}
+	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 80, GraphM: 160, Seed: 0xD15F, Exec: Exec{Parallelism: 4}}
 	want := runSingle(t, js)
 
 	coord := obs.NewRegistry()
@@ -219,6 +221,34 @@ func TestDistributedTracePropagation(t *testing.T) {
 	if coord.Histogram("transport_send_duration").Count() == 0 {
 		t.Error("transport_send_duration recorded nothing")
 	}
+	// The coordinator recorded one barrier span per superstep, tagged
+	// with the step, and the timeline reports those waits rather than
+	// deriving Total−Compute.
+	barrier := map[int32]time.Duration{}
+	for _, sp := range got.Spans {
+		if sp.Phase != obs.PhaseBarrier {
+			continue
+		}
+		if sp.Host != 0 {
+			t.Errorf("barrier span recorded on host %d, want the coordinator", sp.Host)
+		}
+		if _, dup := barrier[sp.Step]; dup {
+			t.Errorf("two barrier spans for superstep %d", sp.Step)
+		}
+		barrier[sp.Step] = time.Duration(sp.Dur)
+	}
+	if len(barrier) != got.Supersteps {
+		t.Fatalf("%d barrier spans, run took %d supersteps", len(barrier), got.Supersteps)
+	}
+	for _, row := range obs.BuildTimeline(got.Spans) {
+		d, ok := barrier[row.Step]
+		if !ok {
+			t.Fatalf("timeline row for superstep %d has no barrier span", row.Step)
+		}
+		if row.Barrier != d {
+			t.Errorf("superstep %d: timeline barrier %v, recorded span %v", row.Step, row.Barrier, d)
+		}
+	}
 }
 
 // TestDistributedReoptimizeMatchesSingleProcess is the plan-epoch
@@ -229,8 +259,8 @@ func TestDistributedTracePropagation(t *testing.T) {
 // single-process driver running the identical spec.
 func TestDistributedReoptimizeMatchesSingleProcess(t *testing.T) {
 	jobs := []JobSpec{
-		{Algorithm: "cc", GraphKind: "uniform", GraphN: 200, GraphM: 400, Seed: 0xE90C, Parallelism: 4, Reoptimize: true},
-		{Algorithm: "sssp", GraphKind: "uniform", GraphN: 150, GraphM: 450, Seed: 0xE90D, Parallelism: 4, Source: 2, Reoptimize: true},
+		{Algorithm: "cc", GraphKind: "uniform", GraphN: 200, GraphM: 400, Seed: 0xE90C, Reoptimize: true, Exec: Exec{Parallelism: 4}},
+		{Algorithm: "sssp", GraphKind: "uniform", GraphN: 150, GraphM: 450, Seed: 0xE90D, Source: 2, Reoptimize: true, Exec: Exec{Parallelism: 4}},
 	}
 	for _, js := range jobs {
 		js := js
@@ -258,11 +288,12 @@ func TestDistributedReoptimizeMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// startFakeWorker runs an almost-honest worker in-process: it executes the
-// real job (real plan, real data plane, real epoch swaps) but passes every
-// control reply through mutate first, so tests can inject exactly one
-// protocol-level lie and watch the coordinator catch it.
-func startFakeWorker(t *testing.T, mutate func(reply *ctlMsg)) string {
+// startFakeWorker runs an almost-honest worker in-process: the real
+// session loop (real plan, real data plane, real epoch swaps) behind a
+// connection that passes every control reply through mutate first, so
+// tests can inject exactly one protocol-level lie and watch the
+// coordinator catch it.
+func startFakeWorker(t *testing.T, mutate func(reply *Msg)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -274,69 +305,32 @@ func startFakeWorker(t *testing.T, mutate func(reply *ctlMsg)) string {
 		if err != nil {
 			return
 		}
-		defer conn.Close()
-		dec, enc := json.NewDecoder(conn), json.NewEncoder(conn)
-		send := func(msg ctlMsg) error {
-			mutate(&msg)
-			return enc.Encode(msg)
-		}
-		var jobMsg ctlMsg
-		if err := dec.Decode(&jobMsg); err != nil || jobMsg.Kind != kindJob {
-			return
-		}
-		j, dataAddr, err := newJob(*jobMsg.Job, jobMsg.HostID, "127.0.0.1:0", nil)
-		if err != nil {
-			return
-		}
-		defer j.close()
-		if send(ctlMsg{Kind: kindReady, DataAddr: dataAddr, Digest: j.digest}) != nil {
-			return
-		}
-		var start ctlMsg
-		if err := dec.Decode(&start); err != nil || start.Kind != kindStart {
-			return
-		}
-		if j.open(start.DataAddrs) != nil {
-			return
-		}
-		j.fx.SeedWorkset(j.w0)
-		if send(ctlMsg{Kind: kindMeshed}) != nil {
-			return
-		}
-		for {
-			var msg ctlMsg
-			if dec.Decode(&msg) != nil {
-				return
-			}
-			switch msg.Kind {
-			case kindStep:
-				count, err := j.fx.StepOnce()
-				if err != nil {
-					send(ctlMsg{Kind: kindError, Err: err.Error()})
-					continue
-				}
-				if send(ctlMsg{Kind: kindStepDone, Count: count, Epoch: j.epoch}) != nil {
-					return
-				}
-			case kindEpoch:
-				digest, err := j.applyEpoch(msg.Epoch, int64(msg.Count))
-				if err != nil {
-					send(ctlMsg{Kind: kindError, Err: err.Error()})
-					continue
-				}
-				if send(ctlMsg{Kind: kindEpochDone, Epoch: msg.Epoch, Digest: digest}) != nil {
-					return
-				}
-			case kindCollect:
-				if send(ctlMsg{Kind: kindSolution, Frames: j.collect(jobMsg.HostID)}) != nil {
-					return
-				}
-			case kindStop:
-				return
-			}
-		}
+		serveControl(lyingConn{conn, mutate}, ServeWorkerOpts{})
 	}()
 	return ln.Addr().String()
+}
+
+// lyingConn rewrites each outgoing control message (the codec writes one
+// message per Write call).
+type lyingConn struct {
+	net.Conn
+	mutate func(*Msg)
+}
+
+func (c lyingConn) Write(p []byte) (int, error) {
+	var msg Msg
+	if err := json.Unmarshal(p, &msg); err != nil {
+		return 0, err
+	}
+	c.mutate(&msg)
+	b, err := json.Marshal(msg)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := c.Conn.Write(append(b, '\n')); err != nil {
+		return 0, err
+	}
+	return len(p), nil
 }
 
 // TestStaleEpochRejectedAtBarrier pins the barrier-time staleness check: a
@@ -344,8 +338,8 @@ func startFakeWorker(t *testing.T, mutate func(reply *ctlMsg)) string {
 // worker that missed a coordinated swap would — must be rejected at the
 // superstep barrier, before another round executes.
 func TestStaleEpochRejectedAtBarrier(t *testing.T) {
-	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 40, GraphM: 80, Seed: 0xE90E, Parallelism: 2}
-	addr := startFakeWorker(t, func(reply *ctlMsg) {
+	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 40, GraphM: 80, Seed: 0xE90E, Exec: Exec{Parallelism: 2}}
+	addr := startFakeWorker(t, func(reply *Msg) {
 		if reply.Kind == kindStepDone {
 			reply.Epoch = 7 // a plan swap the coordinator never announced
 		}
@@ -365,8 +359,8 @@ func TestStaleEpochRejectedAtBarrier(t *testing.T) {
 // session, so no superstep ever runs on a mixed-plan mesh.
 func TestEpochDigestMismatchAborts(t *testing.T) {
 	// Same spec as the parity test: known to trigger a mid-run epoch.
-	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 200, GraphM: 400, Seed: 0xE90C, Parallelism: 4, Reoptimize: true}
-	addr := startFakeWorker(t, func(reply *ctlMsg) {
+	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 200, GraphM: 400, Seed: 0xE90C, Reoptimize: true, Exec: Exec{Parallelism: 4}}
+	addr := startFakeWorker(t, func(reply *Msg) {
 		if reply.Kind == kindEpochDone {
 			reply.Digest = "deadbeefdeadbeef"
 		}
@@ -383,12 +377,115 @@ func TestEpochDigestMismatchAborts(t *testing.T) {
 // TestUntracedDistributedUnaffected pins the zero-cost default: a plain
 // Run (nil registry) must keep TraceID zero end to end.
 func TestUntracedDistributedUnaffected(t *testing.T) {
-	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 40, GraphM: 80, Seed: 0xD160, Parallelism: 2}
+	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 40, GraphM: 80, Seed: 0xD160, Exec: Exec{Parallelism: 2}}
 	got, err := Run(js, startWorkers(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Spans != nil {
 		t.Fatalf("untraced run returned %d spans", len(got.Spans))
+	}
+}
+
+// refusingViews is a ViewHost whose every view fails to open.
+type refusingViews struct{}
+
+func (refusingViews) OpenView(Msg) (Hosted, error) { return nil, errors.New("no such view") }
+
+// TestFailedOpenLeavesConnectionUsable: a session that fails to open is
+// answered with an error, and the same control connection then carries a
+// whole batch job to the byte-identical fixpoint.
+func TestFailedOpenLeavesConnectionUsable(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go ServeWorkerWith(ln, ServeWorkerOpts{Views: refusingViews{}})
+	nc, err := DialWorker(ln.Addr().String(), MeshTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newConn(nc)
+	if _, err := c.Call(Msg{Kind: kindOpen, HostID: 1, View: &ViewSpec{Algorithm: "cc"}}, kindReady); err == nil ||
+		!strings.Contains(err.Error(), "no such view") {
+		t.Fatalf("failed view open answered %v, want the host's error", err)
+	}
+
+	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 60, GraphM: 120, Seed: 0xD161, Exec: Exec{Parallelism: 2, Hosts: 2}}
+	want := runSingle(t, js)
+	j, err := openJob(js, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSession(j.Core, 1)
+	s.Conns = append(s.Conns, c)
+	if err := s.handshake(func(int) Msg { return Msg{Job: &js} }); err != nil {
+		s.Kill()
+		t.Fatalf("open after a failed open: %v", err)
+	}
+	got, err := drive(s, js.normalized())
+	if err != nil {
+		s.Kill()
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeAll(got.Solution), encodeAll(want)) {
+		t.Fatal("job after a failed open diverged from single-process")
+	}
+}
+
+// TestRequestsOutOfOrderRejected: a request that needs the meshed session
+// (step, epoch, collect, a hosted verb) arriving before start, and a second
+// start, are answered with an error instead of reaching a fixpoint that is
+// not open — and the worker goes on to run a job to the byte-identical
+// fixpoint.
+func TestRequestsOutOfOrderRejected(t *testing.T) {
+	addr := startWorkers(t, 1)[0]
+	dial := func() *Conn {
+		nc, err := DialWorker(addr, MeshTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newConn(nc)
+	}
+	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 40, GraphM: 80, Seed: 0xD162,
+		Exec: Exec{Parallelism: 2, Hosts: 2}}
+	for _, kind := range []string{kindStep, kindEpoch, kindCollect, "view_seed"} {
+		c := dial()
+		if _, err := c.Call(Msg{Kind: kindOpen, HostID: 1, Job: &js}, kindReady); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Call(Msg{Kind: kind}, kindMeshed); err == nil || !strings.Contains(err.Error(), "before start") {
+			t.Fatalf("%s before start answered %v, want an error", kind, err)
+		}
+		c.Close()
+	}
+
+	j, err := openJob(js, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSession(j.Core, 1)
+	s.Conns = append(s.Conns, dial())
+	if err := s.handshake(func(int) Msg { return Msg{Job: &js} }); err != nil {
+		s.Kill()
+		t.Fatal(err)
+	}
+	_, err = s.Conns[0].Call(Msg{Kind: kindStart}, kindMeshed)
+	s.Kill()
+	if err == nil || !strings.Contains(err.Error(), "second start") {
+		t.Fatalf("second start answered %v, want an error", err)
+	}
+
+	want := runSingle(t, js)
+	got, err := Run(js, []string{addr})
+	if err != nil {
+		t.Fatalf("job after rejected requests: %v", err)
+	}
+	if !bytes.Equal(encodeAll(got.Solution), encodeAll(want)) {
+		t.Fatal("job after rejected requests diverged from single-process")
 	}
 }

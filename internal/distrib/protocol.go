@@ -1,27 +1,36 @@
-// Package distrib runs one incremental iteration as a distributed
-// session: N processes each host a contiguous partition range of the same
-// physical plan, exchange traffic crosses process boundaries through the
-// runtime's TCP transport, and a coordinator (always host 0) drives the
-// superstep barrier. The control plane is a line of JSON messages per
-// worker; the data plane is the transport's binary CRC32 frames — control
-// traffic is rare and tiny, so readability wins there, while every
-// superstep's records stay on the compact framed codec.
+// Package distrib runs incremental iterations as distributed sessions: N
+// processes each host a contiguous partition range of the same physical
+// plan, exchange traffic crosses process boundaries through the runtime's
+// TCP transport, and a coordinator (always host 0) drives the superstep
+// barrier.
 //
-// Determinism is the load-bearing wall: every process builds the job's
-// spec, graph, and physical plan locally from the same JobSpec (all
+// There is one session protocol, and two kinds of session ride it: a
+// batch job (a JobSpec run to its fixpoint) and a live view's maintenance
+// session (a ViewSpec the live tier keeps resident, see ViewHost). Both
+// follow the same lifecycle on one control connection per worker:
+//
+//	open(spec, host id) → ready(data addr, plan digest)
+//	start(all data addrs) → meshed
+//	step(epoch) → step_done(count, epoch)     one per superstep
+//	collect → solution(frames, spans)
+//	close → closed
+//
+// Any request may instead be answered with error. The coordinator side is
+// Session (open handshake, barrier, collect, close); the worker side is
+// one session loop (serveSession) that answers the verbs above itself and
+// hands every other verb to the hosted session: the batch job's plan-epoch
+// swap, or the live tier's view verbs. Both sides stand on the same per-host
+// Core. The control codec — JSON messages, one per line — lives in Conn
+// alone; every superstep's records travel on the transport's compact
+// framed codec instead, so control traffic stays rare and small.
+//
+// Determinism is the load-bearing wall: every process builds the
+// session's spec and physical plan locally from the same spec (all
 // generators are seeded, the optimizer is deterministic), and the
 // coordinator verifies a digest of each worker's plan before any data
 // flows. Identical plans mean identical dense node/edge IDs and identical
 // superstep schedules, which is what lets the exchange layer route by
 // (edge ID, partition) alone.
-//
-// Workers are not limited to batch jobs: a control message whose kind
-// starts with "view_" hands the whole connection to the process's
-// ViewHost, which runs a long-lived live-view maintenance session (the
-// live tier's sharded serving mode) before returning the connection to
-// this control loop. The same determinism rule applies there — each host
-// re-derives the view's plan locally and the coordinator cross-checks
-// digests.
 package distrib
 
 import (
@@ -29,8 +38,11 @@ import (
 	"encoding/hex"
 	"fmt"
 
+	"repro/internal/iterative"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
+	"repro/internal/runtime"
 )
 
 // JobSpec is the complete, self-contained description of a distributed
@@ -50,15 +62,6 @@ type JobSpec struct {
 	Seed   uint64 `json:"seed"`
 	// Source is the SSSP source vertex.
 	Source int64 `json:"source,omitempty"`
-	// Parallelism is the plan's partition count; Hosts the process count.
-	// Partitions map to hosts with runtime.ContiguousPlacement.
-	Parallelism int `json:"parallelism"`
-	Hosts       int `json:"hosts"`
-	// BatchSize is the exchange batch size (0 = runtime default).
-	BatchSize int `json:"batch_size,omitempty"`
-	// Backend selects the solution-set index: "map", "compact", or ""
-	// (compact).
-	Backend string `json:"backend,omitempty"`
 	// MaxSupersteps bounds the run (0 = 10000).
 	MaxSupersteps int `json:"max_supersteps,omitempty"`
 	// Reoptimize lets the coordinator re-plan mid-run when the workset
@@ -72,17 +75,9 @@ type JobSpec struct {
 	// agree, and the exchange layer keeps routing by (edge ID, partition)
 	// in the new plan's ID space.
 	Reoptimize bool `json:"reoptimize,omitempty"`
-	// WireCompression asks every process to flate-compress its data-plane
-	// record frames (Config.WireCompression); the receive path always
-	// understands both message kinds, so it is purely a bandwidth/CPU
-	// trade.
-	WireCompression bool `json:"wire_compression,omitempty"`
-	// TraceID groups the run's telemetry spans across every process: the
-	// coordinator mints it (obs.NewTraceID) when it runs with a registry,
-	// ships it here with the job assignment, and each process stamps it on
-	// its spans and on every data-plane frame header (the transport
-	// doubles it as a stale-peer check). Zero means untraced.
-	TraceID uint64 `json:"trace_id,omitempty"`
+	// Exec is the job's share of the execution settings; normalized sets
+	// its TraceLabel to the Algorithm.
+	Exec
 }
 
 func (js JobSpec) normalized() JobSpec {
@@ -95,16 +90,96 @@ func (js JobSpec) normalized() JobSpec {
 	if js.MaxSupersteps <= 0 {
 		js.MaxSupersteps = 10000
 	}
+	js.TraceLabel = js.Algorithm
 	return js
 }
 
-// Control-plane message kinds, in protocol order.
+// ViewSpec opens a live view's maintenance session on a worker: the wire
+// identity of the view's maintainer and the execution settings. The
+// graph replica rides the open message's Frames, and a recovered view's
+// solution shard its Sol.
+type ViewSpec struct {
+	Algorithm string `json:"algorithm"`
+	Source    int64  `json:"source,omitempty"`
+	Exec      Exec   `json:"exec"`
+}
+
+// Exec is the execution half of a session spec: the settings every host
+// must share to derive the same plan and placement. ExecOf and Config are
+// the one translation between it and iterative.Config.
+type Exec struct {
+	// Parallelism is the plan's partition count; Hosts the process count.
+	// Partitions map to hosts with runtime.ContiguousPlacement.
+	Parallelism int `json:"parallelism"`
+	Hosts       int `json:"hosts"`
+	// BatchSize is the exchange batch size (0 = runtime default).
+	BatchSize int `json:"batch_size,omitempty"`
+	// Backend selects the solution-set index: "map", "compact", "spill",
+	// or "" (compact).
+	Backend              string `json:"backend,omitempty"`
+	SolutionMemoryBudget int64  `json:"solution_memory_budget,omitempty"`
+	Planner              int    `json:"planner,omitempty"`
+	DisableFusion        bool   `json:"disable_fusion,omitempty"`
+	// WireCompression asks every process to flate-compress its data-plane
+	// record frames (Config.WireCompression); the receive path always
+	// understands both message kinds, so it is purely a bandwidth/CPU
+	// trade.
+	WireCompression bool `json:"wire_compression,omitempty"`
+	// TraceID groups the session's telemetry spans across every process:
+	// the coordinator mints it (obs.NewTraceID) when it runs with a
+	// registry, ships it here with the session spec, and each process
+	// stamps it on its spans and on every data-plane frame header (the
+	// transport doubles it as a stale-peer check). Zero means untraced.
+	TraceID    uint64 `json:"trace_id,omitempty"`
+	TraceLabel string `json:"trace_label,omitempty"`
+}
+
+// ExecOf extracts the shared execution settings of a coordinator's
+// config, for shipping to its workers.
+func ExecOf(cfg iterative.Config) Exec {
+	return Exec{
+		Parallelism: cfg.Parallelism, Hosts: cfg.Hosts, BatchSize: cfg.BatchSize,
+		Backend:              string(cfg.SolutionBackend),
+		SolutionMemoryBudget: cfg.SolutionMemoryBudget,
+		Planner:              int(cfg.Planner),
+		DisableFusion:        cfg.DisableFusion,
+		WireCompression:      cfg.WireCompression,
+		TraceID:              uint64(cfg.TraceID), TraceLabel: cfg.TraceLabel,
+	}
+}
+
+// Config builds the iterative.Config host runs these settings with,
+// counting into m. A non-nil registry turns telemetry on: spans are
+// recorded under the trace ID with host's ID, and reg reports m.
+func (e Exec) Config(host int, reg *obs.Registry, m *metrics.Counters) iterative.Config {
+	cfg := iterative.Config{
+		Parallelism:          e.Parallelism,
+		BatchSize:            e.BatchSize,
+		Hosts:                e.Hosts,
+		Host:                 host,
+		Metrics:              m,
+		SolutionBackend:      runtime.SolutionBackendKind(e.Backend),
+		SolutionMemoryBudget: e.SolutionMemoryBudget,
+		Planner:              optimizer.PlannerKind(e.Planner),
+		DisableFusion:        e.DisableFusion,
+		WireCompression:      e.WireCompression,
+	}
+	if reg != nil {
+		cfg.Obs = reg
+		cfg.TraceID = obs.TraceID(e.TraceID)
+		cfg.TraceLabel = e.TraceLabel
+		reg.SetCounters(m)
+	}
+	return cfg
+}
+
+// The session protocol's own message kinds, in lifecycle order. Hosted
+// sessions add their verbs (kindEpoch here, the live tier's view verbs).
 const (
-	// kindJob (coordinator → worker) assigns the job and the worker's
-	// host ID.
-	kindJob = "job"
-	// kindReady (worker → coordinator) carries the worker's data-plane
-	// address and its plan digest.
+	// kindOpen (coordinator → worker) carries a JobSpec or a ViewSpec and
+	// the worker's host ID; the worker builds its Core and replies
+	// kindReady with its data-plane address and plan digest.
+	kindOpen  = "open"
 	kindReady = "ready"
 	// kindStart (coordinator → worker) distributes every host's data
 	// address; the worker meshes its transport and replies kindMeshed.
@@ -117,44 +192,59 @@ const (
 	// traffic can be routed under the wrong plan.
 	kindStep     = "step"
 	kindStepDone = "step_done"
-	// kindEpoch (coordinator → worker) announces a coordinated plan swap:
-	// Epoch is the new epoch number, Count the global workset size to
-	// re-plan for, Digest the coordinator's new plan digest. The worker
-	// re-plans, swaps its session, and replies kindEpochDone with its own
-	// digest — which must match, or the run aborts.
+	// kindEpoch (coordinator → worker, batch jobs) announces a coordinated
+	// plan swap: Epoch is the new epoch number, Count the global workset
+	// size to re-plan for, Digest the coordinator's new plan digest. The
+	// worker re-plans, swaps its session, and replies kindEpochDone with
+	// its own digest — which must match, or the run aborts.
 	kindEpoch     = "epoch"
 	kindEpochDone = "epoch_done"
 	// kindCollect (coordinator → worker) requests the worker's hosted
 	// solution partitions; the reply kindSolution carries them as
-	// concatenated record frames.
+	// concatenated record frames, plus the session's spans when traced.
 	kindCollect  = "collect"
 	kindSolution = "solution"
-	// kindStop (coordinator → worker) ends the job; the worker tears the
-	// session down and waits for the next kindJob on the same connection.
-	kindStop = "stop"
-	// kindError (worker → coordinator) aborts the run.
+	// kindClose (coordinator → worker) ends the session; the worker tears
+	// it down, replies kindClosed, and waits for the next kindOpen on the
+	// same connection.
+	kindClose  = "close"
+	kindClosed = "closed"
+	// kindError (worker → coordinator) answers a request that failed.
 	kindError = "error"
 )
 
-// ctlMsg is the single wire shape of every control message; Kind selects
-// which fields are meaningful. JSON []byte fields travel base64-encoded,
-// which keeps the framed solution payload lossless inside the text
-// protocol.
-type ctlMsg struct {
-	Kind      string   `json:"kind"`
-	Job       *JobSpec `json:"job,omitempty"`
-	HostID    int      `json:"host_id,omitempty"`
+// Msg is the single wire shape of every control message, the session
+// protocol's and the hosted sessions' alike; Kind selects which fields
+// are meaningful.
+type Msg struct {
+	Kind string `json:"kind"`
+	// Job or View opens a session; HostID is the worker's host.
+	Job    *JobSpec  `json:"job,omitempty"`
+	View   *ViewSpec `json:"view,omitempty"`
+	HostID int       `json:"host_id,omitempty"`
+	// DataAddr (ready) and DataAddrs (start) assemble the data-plane mesh.
 	DataAddr  string   `json:"data_addr,omitempty"`
 	DataAddrs []string `json:"data_addrs,omitempty"`
-	Digest    string   `json:"digest,omitempty"`
-	Count     int      `json:"count,omitempty"`
-	// Epoch rides kindStep/kindStepDone (barrier-time staleness check) and
-	// kindEpoch/kindEpochDone (the plan swap itself).
+	// Digest is a plan digest (ready, epoch, and the view verbs that
+	// re-plan); Epoch the plan epoch (step, step_done, epoch).
+	Digest string `json:"digest,omitempty"`
 	Epoch  int    `json:"epoch,omitempty"`
+	Count  int    `json:"count,omitempty"`
+	// The view verbs' fields (see the live tier's verb table).
+	Hosted int     `json:"hosted,omitempty"`
+	Labels []int64 `json:"labels,omitempty"`
+	Round  int     `json:"round,omitempty"`
+	Full   bool    `json:"full,omitempty"`
+	Found  bool    `json:"found,omitempty"`
+	Key    int64   `json:"key,omitempty"`
+	Bytes  int64   `json:"bytes,omitempty"`
+	// Frames is a verb's record payload (solution frames, a graph dump,
+	// packed records); Sol a recovered view's solution shard.
 	Frames []byte `json:"frames,omitempty"`
-	// Spans rides the kindSolution reply: the worker's telemetry spans for
-	// the job's trace ID, so the coordinator reassembles one cross-process
-	// timeline (host IDs keep the origins apart).
+	Sol    []byte `json:"sol,omitempty"`
+	// Spans rides kindSolution: the worker's telemetry spans for the
+	// session's trace ID, so the coordinator reassembles one
+	// cross-process timeline (host IDs keep the origins apart).
 	Spans []obs.Span `json:"spans,omitempty"`
 	Err   string     `json:"err,omitempty"`
 }

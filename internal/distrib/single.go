@@ -6,7 +6,6 @@ import (
 	"repro/internal/iterative"
 	"repro/internal/metrics"
 	"repro/internal/record"
-	"repro/internal/runtime"
 )
 
 // RunSingle executes the same deterministic job on the plain
@@ -21,15 +20,8 @@ func RunSingle(js JobSpec) (*Result, error) {
 		return nil, err
 	}
 	m := &metrics.Counters{}
-	cfg := iterative.Config{
-		Parallelism: js.Parallelism,
-		BatchSize:   js.BatchSize,
-		Metrics:     m,
-	}
-	if js.Backend != "" {
-		cfg.SolutionBackend = runtime.SolutionBackendKind(js.Backend)
-	}
-	res, err := iterative.RunIncremental(spec, s0, w0, cfg)
+	js.Hosts = 1
+	res, err := iterative.RunIncremental(spec, s0, w0, js.Config(0, nil, m))
 	if err != nil {
 		return nil, err
 	}

@@ -1,32 +1,33 @@
 package distrib
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// MeshTimeout bounds how long a process waits for the full peer mesh
-// (shared by batch jobs and the live tier's sharded view sessions).
+// MeshTimeout bounds how long a process waits for the full peer mesh.
 const MeshTimeout = 30 * time.Second
 
-// ViewHost extends a worker with long-lived live-view maintenance
-// sessions. When a control message arrives whose kind starts with "view_"
-// outside a batch job, the whole connection is handed to the host: open is
-// the raw opening message, and dec/enc are the connection's codec pair.
-// ServeView owns the connection until the session ends (normally or with
-// an error); afterwards the control loop resumes on the same connection.
-// The interface is stdlib-shaped on purpose, so the live tier can
-// implement it without this package knowing its message schema.
+// Hosted is a worker's share of one open session: its Core, which the
+// session loop drives (mesh, steps, collect, close), plus the verbs of
+// its session kind. Anything embedding *Core has HostCore.
+type Hosted interface {
+	HostCore() *Core
+	// Handle answers one verb the session loop does not know.
+	Handle(req Msg) (Msg, error)
+}
+
+// ViewHost lets a worker host live views' maintenance sessions: it opens
+// the hosted share of a view from the open message (ViewSpec, graph
+// replica, recovered shard). The live tier implements it.
 type ViewHost interface {
-	ServeView(open json.RawMessage, dec *json.Decoder, enc *json.Encoder) error
+	OpenView(open Msg) (Hosted, error)
 }
 
 // ServeWorkerOpts configures a worker process.
@@ -34,9 +35,9 @@ type ServeWorkerOpts struct {
 	// Log receives connection-level failures (a lost coordinator is
 	// normal at shutdown, so they are logged, not fatal).
 	Log *log.Logger
-	// Obs is the worker's telemetry plane: jobs and view sessions that
-	// arrive with a trace ID record their spans into its ring (and ship
-	// them back to the coordinator at collect time). Nil disables it.
+	// Obs is the worker's telemetry plane: jobs that arrive with a trace
+	// ID record their spans into its ring (and ship them back to the
+	// coordinator at collect time). Nil disables it.
 	Obs *obs.Registry
 	// Views, if set, lets this worker host live-view maintenance
 	// sessions in addition to batch jobs.
@@ -45,7 +46,7 @@ type ServeWorkerOpts struct {
 
 // ServeWorker accepts coordinator control connections on ln and hosts the
 // partition ranges they assign. One control connection carries any number
-// of sequential jobs; Serve returns when the listener closes.
+// of sequential sessions; Serve returns when the listener closes.
 func ServeWorker(ln net.Listener, lg *log.Logger, reg *obs.Registry) error {
 	return ServeWorkerWith(ln, ServeWorkerOpts{Log: lg, Obs: reg})
 }
@@ -69,137 +70,112 @@ func ServeWorkerWith(ln net.Listener, opts ServeWorkerOpts) error {
 	}
 }
 
-// serveControl runs one coordinator's control connection to completion.
-// Messages are decoded to a raw form first so kinds this package does not
-// define (the live tier's view session verbs) can be dispatched to the
-// ViewHost without the control plane knowing their schema.
-func serveControl(conn net.Conn, opts ServeWorkerOpts) error {
-	defer conn.Close()
-	dec := json.NewDecoder(conn)
-	enc := json.NewEncoder(conn)
+// serveControl runs one coordinator's control connection to completion:
+// sessions one after another. A session that fails to open is answered
+// with an error and leaves the connection usable for the next open.
+func serveControl(nc net.Conn, opts ServeWorkerOpts) error {
+	c := newConn(nc)
+	defer c.Close()
 	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
+		open, err := c.next()
+		if err != nil {
 			return err
 		}
-		var peek struct {
-			Kind string `json:"kind"`
+		if open.Kind != kindOpen {
+			return fmt.Errorf("distrib: control message %q outside a session", open.Kind)
 		}
-		if err := json.Unmarshal(raw, &peek); err != nil {
-			return fmt.Errorf("distrib: malformed control message: %w", err)
-		}
-		switch {
-		case peek.Kind == kindJob:
-			var msg ctlMsg
-			if err := json.Unmarshal(raw, &msg); err != nil {
-				return fmt.Errorf("distrib: malformed job message: %w", err)
-			}
-			if msg.Job == nil {
-				return errors.New("distrib: job message without a spec")
-			}
-			if err := runWorkerJob(*msg.Job, msg.HostID, dec, enc, opts.Obs); err != nil {
+		h, err := openHosted(open, opts)
+		if err != nil {
+			if err := c.Send(Msg{Kind: kindError, Err: err.Error()}); err != nil {
 				return err
 			}
-		case peek.Kind == kindStop:
-			return nil
-		case strings.HasPrefix(peek.Kind, "view_"):
-			if opts.Views == nil {
-				return fmt.Errorf("distrib: control message %q but this worker hosts no views", peek.Kind)
-			}
-			if err := opts.Views.ServeView(raw, dec, enc); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("distrib: unexpected control message %q outside a job", peek.Kind)
+			continue
+		}
+		if err := serveSession(c, h); err != nil {
+			return err
 		}
 	}
 }
 
-// runWorkerJob executes one job under the coordinator's direction: build
-// the deterministic local state, report readiness, mesh, then alternate
-// superstep barriers until told to collect and stop. Protocol errors are
-// returned (the connection is broken); job execution errors are reported
-// to the coordinator with kindError, after which the worker stays usable.
-func runWorkerJob(js JobSpec, hostID int, dec *json.Decoder, enc *json.Encoder, reg *obs.Registry) error {
-	j, dataAddr, err := newJob(js, hostID, "127.0.0.1:0", reg)
+// openHosted builds this worker's share of the session an open message
+// describes.
+func openHosted(open Msg, opts ServeWorkerOpts) (Hosted, error) {
+	switch {
+	case open.Job != nil:
+		return openJob(*open.Job, open.HostID, opts.Obs)
+	case open.View != nil && opts.Views != nil:
+		return opts.Views.OpenView(open)
+	case open.View != nil:
+		return nil, errors.New("distrib: this worker hosts no views")
+	}
+	return nil, errors.New("distrib: open without a job or view spec")
+}
+
+// serveSession is the worker-side session loop: report ready, take start
+// (which must come first, and only once: every other verb needs the mesh
+// and the resident fixpoint it opens), then answer the coordinator's
+// requests — the protocol's own verbs here, every other verb through h —
+// until close. A failed request is answered with an error and ends the
+// connection: the coordinator's session is broken anyway, and the worker
+// process keeps accepting, which is what lets a restarted coordinator
+// recover onto the same workers.
+func serveSession(c *Conn, h Hosted) error {
+	core := h.HostCore()
+	defer core.Close()
+	if err := c.Send(Msg{Kind: kindReady, DataAddr: core.dataAddr, Digest: core.Digest}); err != nil {
+		return err
+	}
+	req, err := c.next()
 	if err != nil {
-		return enc.Encode(ctlMsg{Kind: kindError, Err: err.Error()})
-	}
-	defer j.close()
-	if err := enc.Encode(ctlMsg{Kind: kindReady, DataAddr: dataAddr, Digest: j.digest}); err != nil {
 		return err
 	}
-
-	var start ctlMsg
-	if err := dec.Decode(&start); err != nil {
-		return err
+	reply := Msg{Kind: kindMeshed}
+	if req.Kind != kindStart {
+		err = fmt.Errorf("distrib: %q before start", req.Kind)
+	} else if err = core.Mesh(req.DataAddrs); err == nil && core.W0 != nil {
+		// Seed this host's share of the cold workset: the session reads
+		// only the hosted range of it, so every process seeds from the
+		// identical deterministic slice.
+		core.Fx.SeedWorkset(core.W0)
 	}
-	if start.Kind != kindStart {
-		return fmt.Errorf("distrib: expected %q, got %q", kindStart, start.Kind)
-	}
-	if err := j.open(start.DataAddrs); err != nil {
-		return enc.Encode(ctlMsg{Kind: kindError, Err: err.Error()})
-	}
-	// Seed the initial workset: SetPlaceholder partitions the full W0 and
-	// the session reads only this worker's hosted range, so every process
-	// seeds from the identical deterministic slice.
-	j.fx.SeedWorkset(j.w0)
-	if err := enc.Encode(ctlMsg{Kind: kindMeshed}); err != nil {
-		return err
-	}
-
+	core.W0 = nil
 	for {
-		var msg ctlMsg
-		if err := dec.Decode(&msg); err != nil {
+		if err != nil {
+			if serr := c.Send(Msg{Kind: kindError, Err: err.Error()}); serr != nil {
+				return serr
+			}
 			return err
 		}
-		switch msg.Kind {
+		if err := c.Send(reply); err != nil {
+			return err
+		}
+		if req, err = c.next(); err != nil {
+			return err
+		}
+		switch req.Kind {
+		case kindStart:
+			err = errors.New("distrib: second start in one session")
 		case kindStep:
-			if msg.Epoch != j.epoch {
-				err := fmt.Errorf("distrib: released for superstep at plan epoch %d while at %d", msg.Epoch, j.epoch)
-				if err := enc.Encode(ctlMsg{Kind: kindError, Err: err.Error()}); err != nil {
-					return err
-				}
-				continue // wait for the coordinator's stop
-			}
-			count, err := j.fx.StepOnce()
-			if err != nil {
-				if err := enc.Encode(ctlMsg{Kind: kindError, Err: err.Error()}); err != nil {
-					return err
-				}
-				continue // wait for the coordinator's stop
-			}
-			if err := enc.Encode(ctlMsg{Kind: kindStepDone, Count: count, Epoch: j.epoch}); err != nil {
-				return err
-			}
-		case kindEpoch:
-			// Coordinated plan swap: re-plan for the coordinator's global
-			// workset estimate, swap the session, and echo our new digest
-			// so the coordinator can verify the mesh stayed plan-agreed.
-			digest, err := j.applyEpoch(msg.Epoch, int64(msg.Count))
-			if err != nil {
-				if err := enc.Encode(ctlMsg{Kind: kindError, Err: err.Error()}); err != nil {
-					return err
-				}
-				continue // wait for the coordinator's stop
-			}
-			if err := enc.Encode(ctlMsg{Kind: kindEpochDone, Epoch: msg.Epoch, Digest: digest}); err != nil {
-				return err
-			}
+			reply, err = step(core, req.Epoch)
 		case kindCollect:
-			// A traced job returns its spans with the solution so the
-			// coordinator can reassemble the cross-process timeline.
-			var spans []obs.Span
-			if reg != nil && js.TraceID != 0 {
-				spans = reg.Trace().SpansFor(obs.TraceID(js.TraceID))
+			reply = Msg{Kind: kindSolution, Frames: core.Collect(core.Cfg.Host)}
+			if reg := core.Cfg.Obs; reg != nil && core.Cfg.TraceID != 0 {
+				reply.Spans = reg.Trace().SpansFor(core.Cfg.TraceID)
 			}
-			if err := enc.Encode(ctlMsg{Kind: kindSolution, Frames: j.collect(hostID), Spans: spans}); err != nil {
-				return err
-			}
-		case kindStop:
-			return nil
+		case kindClose:
+			return c.Send(Msg{Kind: kindClosed})
 		default:
-			return fmt.Errorf("distrib: unexpected control message %q inside a job", msg.Kind)
+			reply, err = h.Handle(req)
 		}
 	}
+}
+
+// step runs one released superstep on a worker, after checking the
+// release names the plan epoch this host is at.
+func step(core *Core, epoch int) (Msg, error) {
+	if epoch != core.epoch {
+		return Msg{}, fmt.Errorf("distrib: released for superstep at plan epoch %d while at %d", epoch, core.epoch)
+	}
+	count, err := core.Fx.StepOnce()
+	return Msg{Kind: kindStepDone, Count: count, Epoch: core.epoch}, err
 }

@@ -139,14 +139,13 @@ func distributedJobs(scale graphgen.Scale) []distrib.JobSpec {
 		for _, backend := range []string{"map", "compact"} {
 			for _, par := range []int{2, 4} {
 				jobs = append(jobs, distrib.JobSpec{
-					Algorithm:   alg,
-					GraphKind:   "uniform",
-					GraphN:      n,
-					GraphM:      2 * n,
-					Seed:        0xD157 + uint64(par),
-					Source:      1,
-					Parallelism: par,
-					Backend:     backend,
+					Algorithm: alg,
+					GraphKind: "uniform",
+					GraphN:    n,
+					GraphM:    2 * n,
+					Seed:      0xD157 + uint64(par),
+					Source:    1,
+					Exec:      distrib.Exec{Parallelism: par, Backend: backend},
 				})
 			}
 		}
@@ -154,14 +153,14 @@ func distributedJobs(scale graphgen.Scale) []distrib.JobSpec {
 		// the workset collapse near convergence triggers plan epochs, every
 		// process swaps sessions, and the bytes must still match.
 		jobs = append(jobs, distrib.JobSpec{
-			Algorithm:   alg,
-			GraphKind:   "uniform",
-			GraphN:      n,
-			GraphM:      2 * n,
-			Seed:        0xD157,
-			Source:      1,
-			Parallelism: 4,
-			Reoptimize:  true,
+			Algorithm:  alg,
+			GraphKind:  "uniform",
+			GraphN:     n,
+			GraphM:     2 * n,
+			Seed:       0xD157,
+			Source:     1,
+			Reoptimize: true,
+			Exec:       distrib.Exec{Parallelism: 4},
 		})
 	}
 	return jobs
@@ -218,7 +217,8 @@ func Distributed(o Options) (*DistributedResult, error) {
 	benchJob := distrib.JobSpec{
 		Algorithm: "cc", GraphKind: "uniform",
 		GraphN: scaled(o.Scale, 4000), GraphM: scaled(o.Scale, 12000),
-		Seed: 0xBE9C, Parallelism: o.Parallelism,
+		Seed: 0xBE9C,
+		Exec: distrib.Exec{Parallelism: o.Parallelism},
 	}
 	o.printf("\n  superstep throughput (cc, %d vertices, par %d):\n", benchJob.GraphN, benchJob.Parallelism)
 	o.printf("  %-6s %-6s %-10s %-10s %-13s %s\n", "hosts", "steps", "duration", "steps/s", "remoteBatch", "remoteBytes")

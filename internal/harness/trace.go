@@ -137,7 +137,8 @@ func traceDistributed(o Options, reg *obs.Registry) (obs.TraceID, []obs.Span, er
 	js := distrib.JobSpec{
 		Algorithm: "cc", GraphKind: "uniform",
 		GraphN: g.NumVertices, GraphM: 2 * g.NumVertices,
-		Seed: 0x7ACE, Parallelism: o.Parallelism,
+		Seed: 0x7ACE,
+		Exec: distrib.Exec{Parallelism: o.Parallelism},
 	}
 	res, err := distrib.RunObs(js, []string{w.addr}, reg)
 	if err != nil {

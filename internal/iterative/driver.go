@@ -84,7 +84,8 @@ type replanner interface {
 // every process's consumers wait on every process's producers. Collect
 // folds the local next-workset count into the global one; only the
 // global count decides convergence, since a process's empty workset can
-// refill entirely from its peers' shipped records.
+// refill entirely from its peers' shipped records. step is the superstep's
+// absolute index — the one its spans carry — across a Fixpoint's runs.
 type Barrier interface {
 	Release(step int) error
 	Collect(step, localNext int) (globalNext int, err error)
@@ -151,7 +152,7 @@ func (d *driver) run() (converged bool, err error) {
 	rp, _ := d.policy.(replanner)
 	for step := 0; step < d.maxSteps; step++ {
 		if d.hooks.Barrier != nil {
-			if err := d.hooks.Barrier.Release(step); err != nil {
+			if err := d.hooks.Barrier.Release(d.traceBase + step); err != nil {
 				return false, err
 			}
 		}
@@ -185,7 +186,7 @@ func (d *driver) run() (converged bool, err error) {
 
 		next := out.next
 		if d.hooks.Barrier != nil {
-			if next, err = d.hooks.Barrier.Collect(step, out.next); err != nil {
+			if next, err = d.hooks.Barrier.Collect(d.traceBase+step, out.next); err != nil {
 				return false, err
 			}
 		}

@@ -447,7 +447,7 @@ func (v *LiveView) Query(k int64) (record.Record, bool, error) {
 func (v *LiveView) Snapshot() ([]record.Record, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return v.sess.Snapshot()
+	return v.sess.Solution()
 }
 
 // Stats reports the view's maintenance counters.

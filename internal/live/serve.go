@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // The HTTP JSON API of `spinflow serve`:
@@ -302,7 +304,7 @@ func Serve(addr string, s *Scheduler, stop <-chan struct{}, ready chan<- net.Add
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := obs.NewHTTPServer(s.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	if ready != nil {

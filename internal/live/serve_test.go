@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -12,9 +13,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/iterative"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/record"
 )
 
@@ -373,5 +376,32 @@ func TestServeEncodeErrorSurfaced(t *testing.T) {
 	s.writeJSON(rec, http.StatusOK, map[string]string{"ok": "yes"})
 	if got := s.Stats().EncodeErrors; got != 2 {
 		t.Errorf("EncodeErrors after healthy write = %d, want 2", got)
+	}
+}
+
+// TestServeClosesStalledHeader: a client that sends half a request
+// header and stalls is disconnected once obs.ReadHeaderTimeout passes.
+func TestServeClosesStalledHeader(t *testing.T) {
+	t.Parallel()
+	s := NewScheduler(SchedulerConfig{})
+	stop := make(chan struct{})
+	ready := make(chan net.Addr, 1)
+	done := make(chan error, 1)
+	go func() { done <- Serve("127.0.0.1:0", s, stop, ready) }()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	conn, err := net.Dial("tcp", (<-ready).String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /views HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(obs.ReadHeaderTimeout + 5*time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection with a stalled header still open after ReadHeaderTimeout: %v", err)
 	}
 }

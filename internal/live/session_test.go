@@ -3,17 +3,20 @@ package live
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/distrib"
 	"repro/internal/iterative"
+	"repro/internal/record"
 )
 
 // startWorker runs an in-process `spinflow worker` equivalent hosting view
@@ -142,7 +145,7 @@ func TestShardedReadsSurfaceWorkerFailure(t *testing.T) {
 	defer v.Kill()
 	key := int64(-1)
 	for k := int64(0); k <= 20; k++ {
-		if v.sess.core.place[v.sess.core.sol.PartitionFor(k)] == 1 {
+		if v.sess.core.Place[v.sess.core.Sol.PartitionFor(k)] == 1 {
 			key = k
 			break
 		}
@@ -185,5 +188,109 @@ func TestAutoEngineRejectsWorkers(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("create auto view on workers: %s, want 400", resp.Status)
+	}
+}
+
+// TestWorkerServesJobThenView: one worker serves a batch job and then a
+// sharded view's session through the same session protocol, each
+// byte-identical to its single-process run; a view that fails to open
+// leaves the worker serving.
+func TestWorkerServesJobThenView(t *testing.T) {
+	addr := startWorker(t)
+
+	js := distrib.JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 80, GraphM: 160, Seed: 0x5E55, Exec: distrib.Exec{Parallelism: 4}}
+	single, err := distrib.RunSingle(js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := distrib.Run(js, []string{addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(distrib.EncodeSolution(dist.Solution), distrib.EncodeSolution(single.Solution)) {
+		t.Fatal("batch job on the worker diverged from single-process")
+	}
+
+	core, err := newShardCore(CC(), iterative.Config{Parallelism: 4, Hosts: 2}, NewGraphState(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := distrib.Open(core.Core, []string{addr}, func(int) distrib.Msg {
+		return distrib.Msg{View: &distrib.ViewSpec{Algorithm: "pagerank"}}
+	}); err == nil || !strings.Contains(err.Error(), "unknown sharded algorithm") {
+		t.Fatalf("view open with an unknown maintainer: %v", err)
+	}
+
+	muts := []Mutation{InsertEdge(2, 10), DeleteEdge(5, 6), InsertEdge(20, 21), DeleteVertex(15)}
+	snap := func(cfg ViewConfig) []byte {
+		v, err := NewView("g", CC(), chain(20), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Close()
+		if err := v.Mutate(muts...); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		sol, err := v.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return distrib.EncodeSolution(sol)
+	}
+	if !bytes.Equal(snap(shardedConfig(addr)), snap(shardedConfig())) {
+		t.Fatal("sharded view on the worker diverged from single-process")
+	}
+}
+
+// TestViewVerbBeforeStartRejected: a view verb arriving before start is
+// answered with an error instead of reaching the unmeshed fixpoint, and
+// the worker goes on to serve a sharded view byte-identical to
+// in-process.
+func TestViewVerbBeforeStartRejected(t *testing.T) {
+	addr := startWorker(t)
+	nc, err := distrib.DialWorker(addr, distrib.MeshTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	enc, dec := json.NewEncoder(nc), json.NewDecoder(nc)
+	exchange := func(req distrib.Msg) distrib.Msg {
+		t.Helper()
+		var reply distrib.Msg
+		if err := enc.Encode(req); err != nil {
+			t.Fatal(err)
+		}
+		if err := dec.Decode(&reply); err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+	open := distrib.Msg{Kind: "open", HostID: 1, Frames: dumpGraph(NewGraphState()),
+		View: &distrib.ViewSpec{Algorithm: "cc", Exec: distrib.Exec{Parallelism: 4, Hosts: 2}}}
+	if reply := exchange(open); reply.Kind != "ready" {
+		t.Fatalf("view open answered %q (%s), want ready", reply.Kind, reply.Err)
+	}
+	seed := distrib.Msg{Kind: viewSeed, Frames: packRecords([]record.Record{{A: 1, B: 0}})}
+	if reply := exchange(seed); reply.Kind != "error" || !strings.Contains(reply.Err, "before start") {
+		t.Fatalf("view_seed before start answered %q (%s), want an error", reply.Kind, reply.Err)
+	}
+
+	snap := func(cfg ViewConfig) []byte {
+		v, err := NewView("g", CC(), chain(20), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Close()
+		sol, err := v.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return distrib.EncodeSolution(sol)
+	}
+	if !bytes.Equal(snap(shardedConfig(addr)), snap(shardedConfig())) {
+		t.Fatal("sharded view after a rejected verb diverged from in-process")
 	}
 }

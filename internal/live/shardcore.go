@@ -5,16 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"sort"
 
 	"repro/internal/dataflow"
 	"repro/internal/distrib"
 	"repro/internal/iterative"
-	"repro/internal/metrics"
-	"repro/internal/obs"
-	"repro/internal/optimizer"
 	"repro/internal/record"
 	"repro/internal/runtime"
 )
@@ -22,11 +17,14 @@ import (
 // Maintenance sessions: every LiveView keeps its fixpoint resident in one
 // session whose partition ranges are spread over 1+len(ViewConfig.Workers)
 // hosts. The serving process is host 0 (the coordinator); every `spinflow
-// worker` process hosts one range through a long-lived session layered on
-// the distrib control-plane JSON protocol (distrib.ViewHost hands view_*
-// messages to this package) and the TCP data plane. An in-process view is
-// the one-host case of the same session: no control connections, no
-// listener, and a nil transport, so the exchanges stay in-process.
+// worker` process hosts one range. A view's session is the second kind of
+// distrib session (batch jobs are the first): it opens, meshes, steps,
+// collects and closes through the one distrib session protocol — Session
+// on the coordinator, the worker's session loop, each host's distrib.Core
+// — and adds only the view verbs below, which the worker's loop hands to
+// the hosted shardCore. An in-process view is the one-host case of the
+// same session: no control connections, no listener, and a nil transport,
+// so the exchanges stay in-process.
 //
 // The protocol keeps a strong invariant: every host holds an identical
 // replica of the graph and applies every mutation batch to it, so the
@@ -35,8 +33,8 @@ import (
 // the graph alone (overlay fold, drift re-plan) are derived independently
 // on each host and must agree. Solution state is partitioned — each
 // host's hosted partitions are exact, its non-hosted partitions are stale
-// — which is why every solution read goes through shardCore.Lookup: a
-// stale label may *mask* a propagation the fixpoint needs, so a host only
+// — which is why every solution read goes through Core.Lookup: a stale
+// label may *mask* a propagation the fixpoint needs, so a host only
 // reads labels it owns and lets the maintainer's fallback produce a sound
 // (CPO-upper-bound) candidate for the rest. Owners emit the exact
 // candidates, the coordinator routes each to its key's owner, and junk
@@ -54,77 +52,24 @@ import (
 // full recompute, which stays warm: the mesh, the processes, and the
 // transport all survive.
 
-// The view-session control verbs (rides the distrib worker control
-// connection; every kind is prefixed view_ so distrib can dispatch
-// without knowing the schema).
+// The view verbs, each a request and its reply on the session's control
+// connection (distrib.Msg fields in parentheses).
 const (
-	viewOpen       = "view_open"       // coordinator → worker: spec + graph dump (+ solution on recovery)
-	viewReady      = "view_ready"      // worker → coordinator: data addr + plan digest
-	viewStart      = "view_start"      // coordinator → worker: all data addrs; mesh now
-	viewMeshed     = "view_meshed"     // worker → coordinator: mesh is up, fixpoint open
-	viewApply      = "view_apply"      // coordinator → worker: one mutation batch
+	viewApply      = "view_apply"      // coordinator → worker: one mutation batch (Frames, packed)
 	viewApplied    = "view_applied"    // worker → coordinator: Full = unboundable delete; Labels = owned region labels
 	viewRegion     = "view_region"     // coordinator → worker: union of region Labels; stage the bounded repair
 	viewRegioned   = "view_regioned"   // worker → coordinator: Count = staged region records, Hosted = hosted records
 	viewRecompute  = "view_recompute"  // coordinator → worker: full recompute (re-plan, reset to S0, seed W0)
-	viewRecomputed = "view_recomputed" // worker → coordinator: new plan digest
+	viewRecomputed = "view_recomputed" // worker → coordinator: new plan Digest
 	viewGather     = "view_gather"     // coordinator → worker: derive candidates (Round 0 = fresh batch + repair)
-	viewCand       = "view_cand"       // worker → coordinator: remote-keyed candidates + plan digest
-	viewSeed       = "view_seed"       // coordinator → worker: merged workset; seed it
+	viewCand       = "view_cand"       // worker → coordinator: remote-keyed candidates (Frames) + plan Digest
+	viewSeed       = "view_seed"       // coordinator → worker: routed candidates (Frames); seed the workset
 	viewSeeded     = "view_seeded"     // worker → coordinator: Count = hosted candidates that improve
-	viewStep       = "view_step"       // coordinator → worker: run one superstep (barrier release)
-	viewStepDone   = "view_step_done"  // worker → coordinator: local next-workset count
-	viewQuery      = "view_query"      // coordinator → worker: lookup Key in a hosted partition
-	viewValue      = "view_value"      // worker → coordinator: Found + the record
-	viewCollect    = "view_collect"    // coordinator → worker: ship hosted partitions (+ spans)
-	viewSolution   = "view_solution"   // worker → coordinator: hosted partition frames
+	viewQuery      = "view_query"      // coordinator → worker: look up Key in a hosted partition
+	viewValue      = "view_value"      // worker → coordinator: Found + the record (Frames)
 	viewStats      = "view_stats"      // coordinator → worker: report hosted occupancy
 	viewStatted    = "view_statted"    // worker → coordinator: Count records / Bytes resident
-	viewClose      = "view_close"      // coordinator → worker: end the session
-	viewClosed     = "view_closed"     // worker → coordinator: session torn down
-	viewError      = "view_error"      // worker → coordinator: verb failed
 )
-
-// shardSpec is everything a worker needs to build its identical share of
-// the session: the maintainer, the topology, and the execution config.
-type shardSpec struct {
-	Name                 string `json:"name"`
-	Algorithm            string `json:"algorithm"`
-	Source               int64  `json:"source,omitempty"`
-	Parallelism          int    `json:"parallelism"`
-	Hosts                int    `json:"hosts"`
-	BatchSize            int    `json:"batch_size,omitempty"`
-	Backend              string `json:"backend,omitempty"`
-	SolutionMemoryBudget int64  `json:"solution_memory_budget,omitempty"`
-	Planner              int    `json:"planner,omitempty"`
-	DisableFusion        bool   `json:"disable_fusion,omitempty"`
-	WireCompression      bool   `json:"wire_compression,omitempty"`
-	TraceID              uint64 `json:"trace_id,omitempty"`
-	TraceLabel           string `json:"trace_label,omitempty"`
-}
-
-// shardMsg is one view-session control message (JSON, same codec as the
-// distrib control plane).
-type shardMsg struct {
-	Kind      string     `json:"kind"`
-	Spec      *shardSpec `json:"spec,omitempty"`
-	HostID    int        `json:"host_id,omitempty"`
-	DataAddr  string     `json:"data_addr,omitempty"`
-	DataAddrs []string   `json:"data_addrs,omitempty"`
-	Digest    string     `json:"digest,omitempty"`
-	Count     int        `json:"count,omitempty"`
-	Hosted    int        `json:"hosted,omitempty"`
-	Labels    []int64    `json:"labels,omitempty"`
-	Round     int        `json:"round,omitempty"`
-	Full      bool       `json:"full,omitempty"`
-	Found     bool       `json:"found,omitempty"`
-	Key       int64      `json:"key,omitempty"`
-	Bytes     int64      `json:"bytes,omitempty"`
-	Frames    []byte     `json:"frames,omitempty"`
-	Sol       []byte     `json:"sol,omitempty"`
-	Spans     []obs.Span `json:"spans,omitempty"`
-	Err       string     `json:"err,omitempty"`
-}
 
 // maintainerFor rebuilds a Maintainer from its wire identity.
 func maintainerFor(algorithm string, source int64) (Maintainer, error) {
@@ -178,13 +123,18 @@ func packRecords(recs []record.Record) []byte {
 
 // unpackRecords decodes a packRecords payload.
 func unpackRecords(p []byte) ([]record.Record, error) {
-	bad := fmt.Errorf("live: malformed packed records")
+	bad := errors.New("live: malformed packed records")
 	n, w := binary.Uvarint(p)
 	if w <= 0 {
 		return nil, bad
 	}
 	p = p[w:]
-	out := make([]record.Record, 0, min(int(n), 1<<16))
+	// Every record takes at least two bytes (flags, A), so a count past
+	// the remaining payload is malformed — and must not size the slice.
+	if n > uint64(len(p))/2 {
+		return nil, bad
+	}
+	out := make([]record.Record, 0, n)
 	for i := uint64(0); i < n; i++ {
 		if len(p) == 0 {
 			return nil, bad
@@ -228,22 +178,6 @@ func unpackRecords(p []byte) ([]record.Record, error) {
 	return out, nil
 }
 
-// framesToRecords decodes concatenated record frames into a flat slice.
-func framesToRecords(frames []byte) ([]record.Record, error) {
-	fr := record.NewFrameReader(bytes.NewReader(frames))
-	var out []record.Record
-	for {
-		b, err := fr.Next()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("live: shard payload: %w", err)
-		}
-		out = append(out, b...)
-	}
-}
-
 // dumpGraph serializes the graph replica as two frames (writeGraph's
 // sections). Replicas rebuild from it and then apply every later mutation
 // batch in arrival order, so their internal edge slices — and therefore
@@ -275,39 +209,22 @@ func loadGraph(frames []byte) (*GraphState, error) {
 
 // --- per-host session core ----------------------------------------------
 
-// shardCore is one host's share of a maintenance session: the graph
-// replica, the locally derived spec and plan, the meshed transport, and a
-// resident Fixpoint hosting this host's partition range. The coordinator
-// owns core 0 (its gs aliases the LiveView's); each worker owns one with a
-// replica gs. Every maintenance step below runs on every host.
+// shardCore is one host's share of a maintenance session: the distrib
+// host core (placement, transport, solution set, resident fixpoint, plan
+// digest) plus the graph replica and the maintenance state the view
+// verbs carry between requests. The coordinator owns core 0 (its gs
+// aliases the LiveView's); each worker owns one with a replica gs. Every
+// maintenance step below runs on every host.
 type shardCore struct {
-	m     Maintainer
-	cfg   iterative.Config
-	host  int
-	gs    *GraphState
-	place runtime.Placement
+	*distrib.Core
+	m  Maintainer
+	gs *GraphState
 
-	// tr is the data plane; nil on a one-host session, whose exchanges
-	// stay in-process.
-	tr   *runtime.TCPTransport
-	sol  *runtime.SolutionSet
-	fx   *iterative.Fixpoint
-	spec iterative.IncrementalSpec
-	// phys is the plan the fixpoint opens on (mesh); re-plans go through
-	// Fixpoint.Rebind.
-	phys *optimizer.PhysPlan
 	// sources are the spec's Source nodes in construction order, whose
 	// data fold refreshes in place; planEdges is the edge count the plan
 	// was costed with.
 	sources   []*dataflow.Node
 	planEdges int
-	digest    string
-	// dataAddr is the transport's listen address (workers echo it in
-	// view_ready so the coordinator can assemble the mesh).
-	dataAddr string
-	// w0 is the cold initial workset, kept until the mesh is up (workers
-	// seed it at view_start; the coordinator runs it). Nil on recovery.
-	w0 []record.Record
 	// overlay holds edges in gs but not yet folded into the plan's edge
 	// table: the insert fast path leaves the O(E) caches untouched and
 	// re-derives candidates over these edges until the solution is a
@@ -328,76 +245,16 @@ type shardCore struct {
 	pending []record.Record
 }
 
-// specFor assembles the per-host iterative.Config a shardSpec describes.
-func specFor(ss shardSpec, hostID int, reg *obs.Registry, mtr *metrics.Counters) iterative.Config {
-	cfg := iterative.Config{
-		Parallelism:          ss.Parallelism,
-		BatchSize:            ss.BatchSize,
-		Hosts:                ss.Hosts,
-		Host:                 hostID,
-		Metrics:              mtr,
-		SolutionBackend:      runtime.SolutionBackendKind(ss.Backend),
-		SolutionMemoryBudget: ss.SolutionMemoryBudget,
-		Planner:              optimizer.PlannerKind(ss.Planner),
-		DisableFusion:        ss.DisableFusion,
-		WireCompression:      ss.WireCompression,
-	}
-	if reg != nil {
-		cfg.Obs = reg
-		cfg.TraceID = obs.TraceID(ss.TraceID)
-		cfg.TraceLabel = ss.TraceLabel
-		reg.SetCounters(mtr)
-	}
-	return cfg
-}
-
-// newShardCore builds everything up to — but not including — the peer
-// mesh: the spec and plan over gs, the solution set (filled by `fill`
-// when non-nil — the recovery path — and initialized to S0 otherwise),
-// and, on a multi-host session, the transport listening on an ephemeral
-// port. The fixpoint opens in mesh(), once all data addrs are known.
-func newShardCore(m Maintainer, cfg iterative.Config, hostID int, gs *GraphState,
+// newShardCore builds the host core over gs's spec (see distrib.NewCore;
+// fill non-nil is the recovery path).
+func newShardCore(m Maintainer, cfg iterative.Config, gs *GraphState,
 	fill func(*runtime.SolutionSet) error) (*shardCore, error) {
 	spec, s0, w0 := m.Spec(gs)
-	phys, err := iterative.PlanIncremental(spec, cfg, spec.ExpectedIterations)
+	core, err := distrib.NewCore(spec, s0, w0, cfg, fill)
 	if err != nil {
 		return nil, err
 	}
-	c := &shardCore{m: m, cfg: cfg, host: hostID, gs: gs, phys: phys,
-		place: runtime.ContiguousPlacement(cfg.Parallelism, cfg.Hosts)}
-	c.setSpec(spec, phys)
-	c.sol = runtime.NewSolutionSetWith(cfg.Parallelism, spec.SolutionKey, spec.Comparator, cfg.Metrics,
-		runtime.SolutionOptions{Backend: cfg.SolutionBackend, MemoryBudget: cfg.SolutionMemoryBudget})
-	if fill != nil {
-		if err := fill(c.sol); err != nil {
-			c.sol.Reset()
-			return nil, err
-		}
-	} else {
-		c.sol.Init(s0)
-		c.w0 = w0
-	}
-	if cfg.Hosts > 1 {
-		c.tr = runtime.NewTCPTransport(hostID, c.place, phys.NumEdges, cfg.Metrics)
-		c.tr.SetCompression(cfg.WireCompression)
-		if cfg.Obs != nil {
-			c.tr.SetObs(cfg.TraceID, cfg.Obs.Histogram("transport_send_duration"))
-		}
-		if c.dataAddr, err = c.tr.Listen("127.0.0.1:0"); err != nil {
-			c.sol.Reset()
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// setSpec installs a (re)planned spec: its Source nodes, the edge count
-// the plan was costed with, and the plan digest hosts cross-check.
-func (c *shardCore) setSpec(spec iterative.IncrementalSpec, phys *optimizer.PhysPlan) {
-	c.spec = spec
-	c.sources = sourceNodes(spec)
-	c.planEdges = c.gs.NumEdges()
-	c.digest = distrib.PlanDigest(phys)
+	return &shardCore{Core: core, m: m, gs: gs, sources: sourceNodes(spec), planEdges: gs.NumEdges()}, nil
 }
 
 // sourceNodes lists a spec's Source nodes in construction order.
@@ -409,28 +266,6 @@ func sourceNodes(spec iterative.IncrementalSpec) []*dataflow.Node {
 		}
 	}
 	return out
-}
-
-// mesh connects the data plane and opens the resident fixpoint on it.
-// Workers additionally seed their share of the cold workset here; the
-// coordinator drives its own through the barrier.
-func (c *shardCore) mesh(dataAddrs []string, seedCold bool) error {
-	var tr runtime.Transport
-	if c.tr != nil {
-		if err := c.tr.ConnectPeers(dataAddrs, distrib.MeshTimeout); err != nil {
-			return err
-		}
-		tr = c.tr
-	}
-	fx, err := iterative.OpenFixpointOn(c.spec, c.sol, c.cfg, c.phys, tr)
-	if err != nil {
-		return err
-	}
-	c.fx = fx
-	if seedCold && c.w0 != nil {
-		fx.SeedWorkset(c.w0)
-	}
-	return nil
 }
 
 // applyBatch advances the graph replica by one mutation batch and
@@ -496,7 +331,7 @@ func (c *shardCore) applyBatch(muts []Mutation) (full bool, labels []int64, err 
 		}
 	}
 	for _, d := range drops {
-		c.sol.Delete(d)
+		c.Sol.Delete(d)
 	}
 	return full, labels, nil
 }
@@ -523,7 +358,7 @@ func (c *shardCore) absorb() (rebound bool, err error) {
 		}
 	}
 	for _, r := range c.resets {
-		c.sol.ForceStore(r)
+		c.Sol.ForceStore(r)
 	}
 	c.resets = nil
 	for _, nv := range c.newVerts {
@@ -531,7 +366,7 @@ func (c *shardCore) absorb() (rebound bool, err error) {
 			continue // added and dropped within the batch
 		}
 		if r, ok := c.m.VertexRecord(nv); ok {
-			c.sol.Update(r)
+			c.Sol.Update(r)
 		}
 	}
 	return rebound, nil
@@ -560,18 +395,23 @@ func (c *shardCore) fold() (rebound bool, err error) {
 	for i, n := range c.sources {
 		n.Data = fresh[i].Data
 	}
-	c.fx.InvalidateConstants()
+	c.Fx.InvalidateConstants()
 	return false, nil
 }
 
 // rebind re-plans the resident fixpoint for spec, keeping the solution
 // set, the session's workers and the mesh (the transport rebinds to the
-// new plan's edge count).
+// new plan's edge count), and installs the spec: its Source nodes, the
+// edge count the plan was costed with, and the plan digest hosts
+// cross-check.
 func (c *shardCore) rebind(spec iterative.IncrementalSpec) error {
-	if err := c.fx.Rebind(spec); err != nil {
+	if err := c.Fx.Rebind(spec); err != nil {
 		return err
 	}
-	c.setSpec(spec, c.fx.Plan())
+	c.Spec = spec
+	c.sources = sourceNodes(spec)
+	c.planEdges = c.gs.NumEdges()
+	c.Digest = distrib.PlanDigest(c.Fx.Plan())
 	return nil
 }
 
@@ -585,33 +425,19 @@ func (c *shardCore) recompute() ([]record.Record, error) {
 		return nil, err
 	}
 	c.overlay, c.fresh, c.resets, c.seed = c.overlay[:0], c.fresh[:0], nil, nil
-	c.sol.Reset()
-	c.sol.Init(s0)
+	c.Sol.Reset()
+	c.Sol.Init(s0)
 	return w0, nil
 }
 
-// Lookup and Each make a shardCore the maintainer's SolutionReader:
-// reads hit only partitions this host owns. Non-hosted partitions hold
-// stale replicas — and a stale label can mask a propagation the fixpoint
-// still needs — so misses are reported as absent and the maintainer's
-// fallback produces a sound upper-bound candidate (CC: a vertex proposes
-// its own id; SSSP: no candidate). The owning host emits the exact
-// candidate for the same edge; ∪̇ keeps whichever improves. On a
-// one-host session every partition is hosted.
-func (c *shardCore) Lookup(k int64) (record.Record, bool) {
-	p := c.sol.PartitionFor(k)
-	if c.place[p] != c.host {
-		return record.Record{}, false
-	}
-	return c.sol.Lookup(p, k)
-}
-
-// Each visits the hosted records in ascending partition order.
-func (c *shardCore) Each(f func(record.Record)) {
-	for _, p := range c.place.HostedBy(c.host) {
-		c.sol.EachPartition(p, f)
-	}
-}
+// A shardCore is the maintainer's SolutionReader through its Core's
+// Lookup and Each: reads hit only partitions this host owns. Non-hosted
+// partitions hold stale replicas — and a stale label can mask a
+// propagation the fixpoint still needs — so misses are reported as absent
+// and the maintainer's fallback produces a sound upper-bound candidate
+// (CC: a vertex proposes its own id; SSSP: no candidate). The owning host
+// emits the exact candidate for the same edge; ∪̇ keeps whichever
+// improves. On a one-host session every partition is hosted.
 
 // gather derives this host's candidates for one round, split into the
 // ones keyed to partitions it owns (already checked to improve) and the
@@ -630,14 +456,14 @@ func (c *shardCore) Each(f func(record.Record)) {
 //     vertex record can never beat the owner's current label.
 func (c *shardCore) gather(round int) (own, remote []record.Record) {
 	keep := func(r record.Record) {
-		k := c.spec.SolutionKey(r)
+		k := c.Spec.SolutionKey(r)
 		if c.ownsKey(k) {
 			if c.improves(r) {
 				own = append(own, r)
 			}
 			return
 		}
-		if init, ok := c.m.VertexRecord(k); ok && c.spec.Comparator != nil && c.spec.Comparator(r, init) <= 0 {
+		if init, ok := c.m.VertexRecord(k); ok && c.Spec.Comparator != nil && c.Spec.Comparator(r, init) <= 0 {
 			return
 		}
 		remote = append(remote, r)
@@ -656,7 +482,7 @@ func (c *shardCore) gather(round int) (own, remote []record.Record) {
 			continue
 		}
 		for _, r := range c.m.InsertDelta(e.Src, e.Dst, e.Weight, c) {
-			k := c.spec.SolutionKey(r)
+			k := c.Spec.SolutionKey(r)
 			if (k == e.Dst && !ownsSrc) || (k == e.Src && !ownsDst) {
 				continue // the other endpoint's owner emits the exact one
 			}
@@ -668,7 +494,7 @@ func (c *shardCore) gather(round int) (own, remote []record.Record) {
 
 // ownsKey reports whether this host hosts the solution partition of k.
 func (c *shardCore) ownsKey(k int64) bool {
-	return c.place[c.sol.PartitionFor(k)] == c.host
+	return c.Place[c.Sol.PartitionFor(k)] == c.Cfg.Host
 }
 
 // improves reports whether r would advance the current solution entry
@@ -676,13 +502,13 @@ func (c *shardCore) ownsKey(k int64) bool {
 // comparator-based no-op check that lets the candidate rounds detect
 // convergence.
 func (c *shardCore) improves(r record.Record) bool {
-	k := c.spec.SolutionKey(r)
-	old, ok := c.sol.Lookup(c.sol.PartitionFor(k), k)
+	k := c.Spec.SolutionKey(r)
+	old, ok := c.Sol.Lookup(c.Sol.PartitionFor(k), k)
 	if !ok {
 		return true
 	}
-	if c.spec.Comparator != nil {
-		return c.spec.Comparator(r, old) > 0
+	if c.Spec.Comparator != nil {
+		return c.Spec.Comparator(r, old) > 0
 	}
 	return !old.Equal(r)
 }
@@ -691,9 +517,9 @@ func (c *shardCore) improves(r record.Record) bool {
 // built-in maintainers key solution and workset alike (the vertex id), so
 // the key's owner is also the host whose partition the engine seeds.
 func (c *shardCore) route(ws []record.Record) [][]record.Record {
-	out := make([][]record.Record, c.cfg.Hosts)
+	out := make([][]record.Record, c.Cfg.Hosts)
 	for _, r := range ws {
-		h := c.place[c.sol.PartitionFor(c.spec.SolutionKey(r))]
+		h := c.Place[c.Sol.PartitionFor(c.Spec.SolutionKey(r))]
 		out[h] = append(out[h], r)
 	}
 	return out
@@ -710,40 +536,13 @@ func (c *shardCore) admit(own, routed []record.Record) []record.Record {
 	return own
 }
 
-// collect serializes the partitions host h owns, one frame per partition
-// in ascending partition order, records sorted canonically within each.
-func (c *shardCore) collect(h int) []byte {
-	var out []byte
-	for _, p := range c.place.HostedBy(h) {
-		var b record.Batch
-		c.sol.EachPartition(p, func(r record.Record) {
-			b = append(b, r)
-		})
-		sort.Slice(b, func(x, y int) bool { return record.Less(b[x], b[y]) })
-		out = record.AppendFrame(out, b)
-	}
-	return out
-}
-
 // hostedRecords counts the records in this host's partitions.
 func (c *shardCore) hostedRecords() int {
 	n := 0
-	for p, h := range c.place {
-		if h == c.host {
-			n += c.sol.PartitionSize(p)
+	for p, h := range c.Place {
+		if h == c.Cfg.Host {
+			n += c.Sol.PartitionSize(p)
 		}
 	}
 	return n
-}
-
-// close tears the session down: fixpoint, transport, solution state.
-func (c *shardCore) close() {
-	if c.fx != nil {
-		c.fx.Close()
-		c.fx = nil
-	}
-	if c.tr != nil {
-		c.tr.Close()
-	}
-	c.sol.Reset()
 }

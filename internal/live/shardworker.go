@@ -1,21 +1,20 @@
 package live
 
 import (
-	"encoding/json"
 	"fmt"
 
+	"repro/internal/distrib"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/runtime"
 )
 
-// WorkerHost hosts sharded view maintenance sessions inside a `spinflow
-// worker` process: it implements distrib.ViewHost, so the distrib control
-// loop hands it every view_* message. One ServeView call runs one session
-// — open, mesh, then coordinator-driven verbs until close — and the
-// control connection returns to distrib afterwards for the next session
-// (or batch job).
+// WorkerHost hosts sharded views' maintenance sessions inside a `spinflow
+// worker` process: it implements distrib.ViewHost, so the worker's
+// session loop opens a view's share through it and hands the shardCore
+// every view verb. The loop itself answers the rest of the session
+// (mesh, steps, collect, close).
 type WorkerHost struct {
 	reg *obs.Registry
 }
@@ -24,178 +23,85 @@ type WorkerHost struct {
 // registry (nil disables telemetry).
 func NewWorkerHost(reg *obs.Registry) *WorkerHost { return &WorkerHost{reg: reg} }
 
-// ServeView runs one maintenance session. A failed open reports
-// view_error and returns nil — the connection stays usable. A mid-session
-// failure reports view_error and returns the error: the connection is
-// torn down (the coordinator's session is broken anyway) while the worker
-// process keeps accepting — which is what lets a restarted coordinator
-// recover onto the same workers.
-func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *json.Encoder) error {
-	var msg shardMsg
-	if err := json.Unmarshal(open, &msg); err != nil {
-		return fmt.Errorf("live: malformed view message: %w", err)
-	}
-	if msg.Kind != viewOpen {
-		return fmt.Errorf("live: view session must open with %q, got %q", viewOpen, msg.Kind)
-	}
-	if msg.Spec == nil {
-		return fmt.Errorf("live: %s without a spec", viewOpen)
-	}
-	core, err := h.openCore(msg)
-	if err != nil {
-		return enc.Encode(shardMsg{Kind: viewError, Err: err.Error()})
-	}
-	defer core.close()
-	if err := enc.Encode(shardMsg{Kind: viewReady, DataAddr: core.dataAddr, Digest: core.digest}); err != nil {
-		return err
-	}
-
-	var start shardMsg
-	if err := dec.Decode(&start); err != nil {
-		return err
-	}
-	if start.Kind != viewStart {
-		return fmt.Errorf("live: expected %q, got %q", viewStart, start.Kind)
-	}
-	if err := core.mesh(start.DataAddrs, true); err != nil {
-		if serr := enc.Encode(shardMsg{Kind: viewError, Err: err.Error()}); serr != nil {
-			return serr
-		}
-		return err
-	}
-	if err := enc.Encode(shardMsg{Kind: viewMeshed}); err != nil {
-		return err
-	}
-
-	fail := func(err error) error {
-		if serr := enc.Encode(shardMsg{Kind: viewError, Err: err.Error()}); serr != nil {
-			return serr
-		}
-		return err
-	}
-	for {
-		var req shardMsg
-		if err := dec.Decode(&req); err != nil {
-			return err
-		}
-		switch req.Kind {
-		case viewApply:
-			recs, err := unpackRecords(req.Frames)
-			if err != nil {
-				return fail(err)
-			}
-			muts, err := recordsToMutations(recs)
-			if err != nil {
-				return fail(err)
-			}
-			full, labels, err := core.applyBatch(muts)
-			if err != nil {
-				return fail(err)
-			}
-			if err := enc.Encode(shardMsg{Kind: viewApplied, Full: full, Labels: labels}); err != nil {
-				return err
-			}
-		case viewRegion:
-			n, hosted := core.region(req.Labels)
-			if err := enc.Encode(shardMsg{Kind: viewRegioned, Count: n, Hosted: hosted}); err != nil {
-				return err
-			}
-		case viewRecompute:
-			w0, err := core.recompute()
-			if err != nil {
-				return fail(err)
-			}
-			core.fx.SeedWorkset(w0)
-			if err := enc.Encode(shardMsg{Kind: viewRecomputed, Digest: core.digest}); err != nil {
-				return err
-			}
-		case viewGather:
-			// Own-keyed candidates stay here (buffered for the seed verb);
-			// only remote-keyed ones travel, with Count telling the
-			// coordinator how many were retained so it can detect a
-			// globally empty round.
-			if req.Round == 0 {
-				if _, err := core.absorb(); err != nil {
-					return fail(err)
-				}
-			}
-			own, remote := core.gather(req.Round)
-			core.pending = own
-			if err := enc.Encode(shardMsg{Kind: viewCand,
-				Frames: packRecords(remote), Count: len(own), Digest: core.digest}); err != nil {
-				return err
-			}
-		case viewSeed:
-			recs, err := unpackRecords(req.Frames)
-			if err != nil {
-				return fail(err)
-			}
-			ws := core.admit(core.pending, recs)
-			core.pending = nil
-			core.fx.SeedWorkset(ws)
-			if err := enc.Encode(shardMsg{Kind: viewSeeded, Count: len(ws)}); err != nil {
-				return err
-			}
-		case viewStep:
-			count, err := core.fx.StepOnce()
-			if err != nil {
-				return fail(err)
-			}
-			if err := enc.Encode(shardMsg{Kind: viewStepDone, Count: count}); err != nil {
-				return err
-			}
-		case viewQuery:
-			reply := shardMsg{Kind: viewValue}
-			if r, ok := core.Lookup(req.Key); ok {
-				reply.Found = true
-				reply.Frames = packRecords([]record.Record{r})
-			}
-			if err := enc.Encode(reply); err != nil {
-				return err
-			}
-		case viewCollect:
-			var spans []obs.Span
-			if h.reg != nil && core.cfg.TraceID != 0 {
-				spans = h.reg.Trace().SpansFor(core.cfg.TraceID)
-			}
-			if err := enc.Encode(shardMsg{Kind: viewSolution, Frames: core.collect(core.host), Spans: spans}); err != nil {
-				return err
-			}
-		case viewStats:
-			if err := enc.Encode(shardMsg{Kind: viewStatted, Count: core.hostedRecords(), Bytes: core.sol.Bytes()}); err != nil {
-				return err
-			}
-		case viewClose:
-			return enc.Encode(shardMsg{Kind: viewClosed})
-		default:
-			return fmt.Errorf("live: unexpected view message %q", req.Kind)
-		}
-	}
-}
-
-// openCore builds this host's session share from the opening message:
-// maintainer, graph replica, config, and the listening shardCore.
-func (h *WorkerHost) openCore(msg shardMsg) (*shardCore, error) {
-	ss := *msg.Spec
-	m, err := maintainerFor(ss.Algorithm, ss.Source)
+// OpenView builds this host's share of a view's session from its open
+// message: maintainer, graph replica, recovered shard, and the listening
+// core.
+func (h *WorkerHost) OpenView(open distrib.Msg) (distrib.Hosted, error) {
+	vs := open.View
+	m, err := maintainerFor(vs.Algorithm, vs.Source)
 	if err != nil {
 		return nil, err
 	}
-	if msg.HostID <= 0 || msg.HostID >= ss.Hosts {
-		return nil, fmt.Errorf("live: worker host id %d outside 1..%d", msg.HostID, ss.Hosts-1)
-	}
-	gs, err := loadGraph(msg.Frames)
+	gs, err := loadGraph(open.Frames)
 	if err != nil {
 		return nil, err
 	}
 	var fill func(*runtime.SolutionSet) error
-	if msg.Sol != nil {
+	if open.Sol != nil {
 		fill = func(sol *runtime.SolutionSet) error {
-			recs, err := framesToRecords(msg.Sol)
+			recs, err := record.DecodeFrames(open.Sol)
 			sol.Init(recs)
 			return err
 		}
 	}
-	cfg := specFor(ss, msg.HostID, h.reg, &metrics.Counters{})
-	return newShardCore(m, cfg, msg.HostID, gs, fill)
+	return newShardCore(m, vs.Exec.Config(open.HostID, h.reg, &metrics.Counters{}), gs, fill)
+}
+
+// Handle answers one view verb on a worker.
+func (c *shardCore) Handle(req distrib.Msg) (distrib.Msg, error) {
+	switch req.Kind {
+	case viewApply:
+		recs, err := unpackRecords(req.Frames)
+		if err != nil {
+			return distrib.Msg{}, err
+		}
+		muts, err := recordsToMutations(recs)
+		if err != nil {
+			return distrib.Msg{}, err
+		}
+		full, labels, err := c.applyBatch(muts)
+		return distrib.Msg{Kind: viewApplied, Full: full, Labels: labels}, err
+	case viewRegion:
+		n, hosted := c.region(req.Labels)
+		return distrib.Msg{Kind: viewRegioned, Count: n, Hosted: hosted}, nil
+	case viewRecompute:
+		w0, err := c.recompute()
+		if err != nil {
+			return distrib.Msg{}, err
+		}
+		c.Fx.SeedWorkset(w0)
+		return distrib.Msg{Kind: viewRecomputed, Digest: c.Digest}, nil
+	case viewGather:
+		// Own-keyed candidates stay here (buffered for the seed verb);
+		// only remote-keyed ones travel, with Count telling the
+		// coordinator how many were retained so it can detect a globally
+		// empty round.
+		if req.Round == 0 {
+			if _, err := c.absorb(); err != nil {
+				return distrib.Msg{}, err
+			}
+		}
+		own, remote := c.gather(req.Round)
+		c.pending = own
+		return distrib.Msg{Kind: viewCand, Frames: packRecords(remote), Count: len(own), Digest: c.Digest}, nil
+	case viewSeed:
+		recs, err := unpackRecords(req.Frames)
+		if err != nil {
+			return distrib.Msg{}, err
+		}
+		ws := c.admit(c.pending, recs)
+		c.pending = nil
+		c.Fx.SeedWorkset(ws)
+		return distrib.Msg{Kind: viewSeeded, Count: len(ws)}, nil
+	case viewQuery:
+		reply := distrib.Msg{Kind: viewValue}
+		if r, ok := c.Lookup(req.Key); ok {
+			reply.Found = true
+			reply.Frames = packRecords([]record.Record{r})
+		}
+		return reply, nil
+	case viewStats:
+		return distrib.Msg{Kind: viewStatted, Count: c.hostedRecords(), Bytes: c.Sol.Bytes()}, nil
+	}
+	return distrib.Msg{}, fmt.Errorf("live: unexpected view message %q", req.Kind)
 }

@@ -442,13 +442,13 @@ func (v *LiveView) snapshotLocked() error {
 	snapStart := time.Now()
 	d := v.dur
 	seq := d.flushedSeq
-	shards, err := v.sess.RemoteShards()
+	shards, err := v.sess.Shards()
 	if err != nil {
 		return fmt.Errorf("live: view %q shard collect: %w", v.name, err)
 	}
 	for i, frames := range shards {
 		h := i + 1
-		recs, err := framesToRecords(frames)
+		recs, err := record.DecodeFrames(frames)
 		if err != nil {
 			return fmt.Errorf("live: view %q shard %d payload: %w", v.name, h, err)
 		}

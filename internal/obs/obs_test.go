@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -374,4 +376,27 @@ func httpGet(url string) (string, error) {
 		return "", fmt.Errorf("status %d: %s", resp.StatusCode, buf.String())
 	}
 	return buf.String(), nil
+}
+
+// TestServeClosesStalledHeader: a client that sends half a request
+// header and stalls is disconnected once ReadHeaderTimeout passes.
+func TestServeClosesStalledHeader(t *testing.T) {
+	t.Parallel()
+	addr, closer, err := NewRegistry().Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /metrics HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(ReadHeaderTimeout + 5*time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection with a stalled header still open after ReadHeaderTimeout: %v", err)
+	}
 }

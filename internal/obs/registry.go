@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 	"unicode"
 
 	"repro/internal/metrics"
@@ -262,7 +263,17 @@ func (r *Registry) Serve(addr string) (string, io.Closer, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: r.Handler()}
-	go srv.Serve(ln)
+	go NewHTTPServer(r.Handler()).Serve(ln)
 	return ln.Addr().String(), ln, nil
+}
+
+// ReadHeaderTimeout bounds how long a client may take to send a
+// request's headers; a connection still holding a half-sent header after
+// it is closed, so idle or slow clients cannot pin server goroutines.
+const ReadHeaderTimeout = 5 * time.Second
+
+// NewHTTPServer builds every HTTP server this program runs (the telemetry
+// plane and the serving API) with the same per-connection bounds.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout}
 }

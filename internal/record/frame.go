@@ -2,6 +2,7 @@ package record
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -124,4 +125,21 @@ func (fr *FrameReader) Next() (Batch, error) {
 	}
 	fr.valid += int64(FrameHeaderSize) + int64(payloadLen)
 	return out, nil
+}
+
+// DecodeFrames decodes a whole in-memory run of concatenated frames into
+// one flat slice — the form solution shards travel in between hosts.
+func DecodeFrames(frames []byte) ([]Record, error) {
+	fr := NewFrameReader(bytes.NewReader(frames))
+	var out []Record
+	for {
+		b, err := fr.Next()
+		if errors.Is(err, io.EOF) {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, b...)
+	}
 }
