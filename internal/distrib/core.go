@@ -70,7 +70,6 @@ func NewCore(spec iterative.IncrementalSpec, s0, w0 []record.Record, cfg iterati
 	}
 	if cfg.Hosts > 1 {
 		c.tr = runtime.NewTCPTransport(cfg.Host, c.Place, phys.NumEdges, cfg.Metrics)
-		c.tr.SetCompression(cfg.WireCompression)
 		if cfg.Obs != nil {
 			c.tr.SetObs(cfg.TraceID, cfg.Obs.Histogram("transport_send_duration"))
 		}

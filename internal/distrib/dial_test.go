@@ -67,41 +67,3 @@ func TestDialWorkerGivesUp(t *testing.T) {
 		t.Fatalf("dial retried for %v, backoff is unbounded", el)
 	}
 }
-
-// TestWireCompressionRoundTrip pins the compressed data plane: a
-// 2-process run with WireCompression on must produce the byte-identical
-// fixpoint to the single-process driver, and the compressed-bytes counter
-// must see real traffic (CC on a few hundred edges ships frames well over
-// the compression floor).
-func TestWireCompressionRoundTrip(t *testing.T) {
-	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 200, GraphM: 500, Seed: 0xC0DE,
-		Exec: Exec{Parallelism: 4, WireCompression: true}}
-	want := runSingle(t, js)
-	got, err := Run(js, startWorkers(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeAll(got.Solution), encodeAll(want)) {
-		t.Fatal("compressed-wire fixpoint diverged from single-process")
-	}
-	if got.Work.RemoteBytesCompressed == 0 {
-		t.Fatalf("compressed run counted no compressed wire bytes: %+v", got.Work)
-	}
-	if got.Work.RemoteBytes == 0 {
-		t.Fatal("compressed run counted no remote payload bytes")
-	}
-
-	// And the uncompressed control: same job, flag off, same fixpoint,
-	// zero compressed bytes.
-	js.WireCompression = false
-	plain, err := Run(js, startWorkers(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeAll(plain.Solution), encodeAll(want)) {
-		t.Fatal("uncompressed control run diverged")
-	}
-	if plain.Work.RemoteBytesCompressed != 0 {
-		t.Fatalf("uncompressed run counted %d compressed bytes", plain.Work.RemoteBytesCompressed)
-	}
-}

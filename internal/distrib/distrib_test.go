@@ -489,3 +489,68 @@ func TestRequestsOutOfOrderRejected(t *testing.T) {
 		t.Fatal("job after rejected requests diverged from single-process")
 	}
 }
+
+// panickingViews hosts a batch job's share as a view whose every hosted
+// verb panics; data receives each opened share's data-plane address.
+type panickingViews struct {
+	js   JobSpec
+	data chan string
+}
+
+type panickingView struct{ *job }
+
+func (panickingView) Handle(Msg) (Msg, error) { panic("hosted verb failed") }
+
+func (v panickingViews) OpenView(open Msg) (Hosted, error) {
+	j, err := openJob(v.js, open.HostID, nil)
+	if err != nil {
+		return nil, err
+	}
+	v.data <- j.dataAddr
+	return panickingView{j}, nil
+}
+
+// TestWorkerPanicIsolated: a panic in a hosted verb is answered with an
+// error, the panicking session's core is closed (its data listener stops
+// accepting), and the worker process goes on to run a batch job to the
+// byte-identical fixpoint.
+func TestWorkerPanicIsolated(t *testing.T) {
+	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 60, GraphM: 120, Seed: 0xD163,
+		Exec: Exec{Parallelism: 2, Hosts: 2}}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	views := panickingViews{js: js, data: make(chan string, 1)}
+	go ServeWorkerWith(ln, ServeWorkerOpts{Views: views})
+	addr := ln.Addr().String()
+
+	j, err := openJob(js, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(j.Core, []string{addr}, func(int) Msg { return Msg{View: &ViewSpec{Algorithm: "cc"}} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataAddr := <-views.data
+	_, err = s.Conns[0].Call(Msg{Kind: "view_query"}, "view_value")
+	s.Kill()
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("panicking verb answered %v, want an error", err)
+	}
+	if nc, err := net.Dial("tcp", dataAddr); err == nil {
+		nc.Close()
+		t.Fatal("the panicked session's data listener still accepts")
+	}
+
+	want := runSingle(t, js)
+	got, err := Run(js, []string{addr})
+	if err != nil {
+		t.Fatalf("job after a panicked session: %v", err)
+	}
+	if !bytes.Equal(encodeAll(got.Solution), encodeAll(want)) {
+		t.Fatal("job after a panicked session diverged from single-process")
+	}
+}

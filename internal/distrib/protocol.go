@@ -120,11 +120,6 @@ type Exec struct {
 	SolutionMemoryBudget int64  `json:"solution_memory_budget,omitempty"`
 	Planner              int    `json:"planner,omitempty"`
 	DisableFusion        bool   `json:"disable_fusion,omitempty"`
-	// WireCompression asks every process to flate-compress its data-plane
-	// record frames (Config.WireCompression); the receive path always
-	// understands both message kinds, so it is purely a bandwidth/CPU
-	// trade.
-	WireCompression bool `json:"wire_compression,omitempty"`
 	// TraceID groups the session's telemetry spans across every process:
 	// the coordinator mints it (obs.NewTraceID) when it runs with a
 	// registry, ships it here with the session spec, and each process
@@ -143,7 +138,6 @@ func ExecOf(cfg iterative.Config) Exec {
 		SolutionMemoryBudget: cfg.SolutionMemoryBudget,
 		Planner:              int(cfg.Planner),
 		DisableFusion:        cfg.DisableFusion,
-		WireCompression:      cfg.WireCompression,
 		TraceID:              uint64(cfg.TraceID), TraceLabel: cfg.TraceLabel,
 	}
 }
@@ -162,7 +156,6 @@ func (e Exec) Config(host int, reg *obs.Registry, m *metrics.Counters) iterative
 		SolutionMemoryBudget: e.SolutionMemoryBudget,
 		Planner:              optimizer.PlannerKind(e.Planner),
 		DisableFusion:        e.DisableFusion,
-		WireCompression:      e.WireCompression,
 	}
 	if reg != nil {
 		cfg.Obs = reg
@@ -238,8 +231,9 @@ type Msg struct {
 	Found  bool    `json:"found,omitempty"`
 	Key    int64   `json:"key,omitempty"`
 	Bytes  int64   `json:"bytes,omitempty"`
-	// Frames is a verb's record payload (solution frames, a graph dump,
-	// packed records); Sol a recovered view's solution shard.
+	// Frames is a verb's record payload in record frames (a solution
+	// shard, a graph dump, a mutation batch, candidates); Sol a recovered
+	// view's solution shard.
 	Frames []byte `json:"frames,omitempty"`
 	Sol    []byte `json:"sol,omitempty"`
 	// Spans rides kindSolution: the worker's telemetry spans for the

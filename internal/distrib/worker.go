@@ -72,10 +72,20 @@ func ServeWorkerWith(ln net.Listener, opts ServeWorkerOpts) error {
 
 // serveControl runs one coordinator's control connection to completion:
 // sessions one after another. A session that fails to open is answered
-// with an error and leaves the connection usable for the next open.
-func serveControl(nc net.Conn, opts ServeWorkerOpts) error {
+// with an error and leaves the connection usable for the next open. A
+// panic in a hosted verb ends only this connection: the session's Core
+// is closed (its deferred Close runs as the panic unwinds), the
+// coordinator is answered with an error, and the worker keeps serving
+// every other connection.
+func serveControl(nc net.Conn, opts ServeWorkerOpts) (err error) {
 	c := newConn(nc)
 	defer c.Close()
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("distrib: worker session panicked: %v", p)
+			c.Send(Msg{Kind: kindError, Err: err.Error()})
+		}
+	}()
 	for {
 		open, err := c.next()
 		if err != nil {

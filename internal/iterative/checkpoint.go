@@ -24,7 +24,8 @@ import (
 // closed by an empty frame. Writing chunks the records into frames as
 // they arrive — a checkpoint of an N-record solution set never holds more
 // than one frame's worth of encoded bytes in memory — and reading decodes
-// through a fixed 64 KiB buffered reader, so a multi-gigabyte (or
+// frame by frame through a fixed 64 KiB buffered reader into a payload
+// buffer that grows only as bytes arrive, so a multi-gigabyte (or
 // corrupt-header) checkpoint cannot allocate unboundedly. The live-view
 // durability layer (internal/live) shares this writer/reader for its
 // snapshots and the same framing for its write-ahead log.
@@ -47,7 +48,7 @@ type Checkpoint struct {
 
 const (
 	checkpointMagic   = uint32(0x53464c57) // "SFLW"
-	checkpointVersion = uint32(2)
+	checkpointVersion = uint32(3)          // 3: frames carry compact varint records
 	// checkpointMaxKind bounds the kind-string length a reader accepts;
 	// anything larger is a corrupt header, not a real kind.
 	checkpointMaxKind = 256

@@ -3,7 +3,9 @@ package iterative
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -323,5 +325,35 @@ func TestResumeBulkAlreadyComplete(t *testing.T) {
 	}
 	if len(res.Solution) != 1 || res.Solution[0].A != 99 {
 		t.Errorf("completed checkpoint should pass through: %v", res.Solution)
+	}
+}
+
+// TestOldCheckpointVersionRejected: a checkpoint written in the version-2
+// layout (fixed 25-byte records inside each frame) fails with a version
+// error instead of decoding its frames as the compact layout.
+func TestOldCheckpointVersionRejected(t *testing.T) {
+	var buf []byte
+	buf = binary.LittleEndian.AppendUint32(buf, checkpointMagic)
+	buf = binary.LittleEndian.AppendUint32(buf, 2)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len("incremental")))
+	buf = append(buf, "incremental"...)
+	buf = binary.LittleEndian.AppendUint64(buf, 3)
+	// One solution record and the two section end markers, in the old
+	// payload layout: a u32 count, then A, B, X bits and Tag per record.
+	for _, n := range []int{1, 0, 0} {
+		p := binary.LittleEndian.AppendUint32(nil, uint32(n))
+		for i := 0; i < n; i++ {
+			p = binary.LittleEndian.AppendUint64(p, 7)
+			p = binary.LittleEndian.AppendUint64(p, 7)
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(0.5))
+			p = append(p, 0)
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p)))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(p))
+		buf = append(buf, p...)
+	}
+	if _, err := ReadCheckpoint(bytes.NewReader(buf)); err == nil ||
+		!strings.Contains(err.Error(), "unsupported checkpoint version 2") {
+		t.Fatalf("reading a version-2 checkpoint: %v, want a version error", err)
 	}
 }

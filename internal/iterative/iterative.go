@@ -108,13 +108,6 @@ type Config struct {
 	TraceLabel string
 	// Host is this process's host ID stamped on spans (0 single-process).
 	Host int
-	// WireCompression asks a distributed session's transport to flate-
-	// compress data-plane record frames on the wire (see
-	// runtime.TCPTransport.SetCompression). A per-sender choice: hosts
-	// with different settings interoperate, and the setting is ignored by
-	// single-process runs. RemoteBytesCompressed counts the wire bytes
-	// that actually traveled compressed.
-	WireCompression bool
 }
 
 // normalize validates and default-fills a Config exactly once, at every

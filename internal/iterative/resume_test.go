@@ -65,6 +65,7 @@ func TestResumeIncrementalAbsorbsInsert(t *testing.T) {
 			if res.Set == nil {
 				t.Fatal("IncrementalResult.Set handoff is nil")
 			}
+			defer res.Set.Reset()
 
 			// The resumed spec's Δ plan must see the full edge set.
 			spec, _, _ := algorithms.CCIncrementalSpec(full, algorithms.CCCoGroup)

@@ -33,23 +33,25 @@ func startWorker(t *testing.T) string {
 }
 
 // ctlProxy relays coordinator→worker control connections to a worker,
-// counting the coordinator's messages of one kind, and can cut every
-// relayed connection the way a dying worker would.
+// counting the coordinator's messages of one kind (and passing each
+// through rewrite, when set), and can cut every relayed connection the
+// way a dying worker would.
 type ctlProxy struct {
-	addr  string
-	kind  []byte
-	sent  atomic.Int64
-	mu    sync.Mutex
-	conns []net.Conn
+	addr    string
+	kind    []byte
+	rewrite func(line []byte) []byte
+	sent    atomic.Int64
+	mu      sync.Mutex
+	conns   []net.Conn
 }
 
-func startProxy(t *testing.T, worker, kind string) *ctlProxy {
+func startProxy(t *testing.T, worker, kind string, rewrite func(line []byte) []byte) *ctlProxy {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &ctlProxy{addr: ln.Addr().String(), kind: []byte(`"kind":"` + kind + `"`)}
+	p := &ctlProxy{addr: ln.Addr().String(), kind: []byte(`"kind":"` + kind + `"`), rewrite: rewrite}
 	t.Cleanup(func() {
 		ln.Close()
 		p.cut()
@@ -78,6 +80,9 @@ func startProxy(t *testing.T, worker, kind string) *ctlProxy {
 					line, err := r.ReadBytes('\n')
 					if bytes.Contains(line, p.kind) {
 						p.sent.Add(1)
+						if p.rewrite != nil {
+							line = p.rewrite(line)
+						}
 					}
 					if _, werr := out.Write(line); werr != nil || err != nil {
 						return
@@ -106,7 +111,7 @@ func shardedConfig(workers ...string) ViewConfig {
 // TestStatsOneWorkerRoundTrip: Stats derives the solution records, bytes
 // and per-host split from one view_stats exchange per worker.
 func TestStatsOneWorkerRoundTrip(t *testing.T) {
-	p := startProxy(t, startWorker(t), viewStats)
+	p := startProxy(t, startWorker(t), viewStats, nil)
 	v, err := NewView("stats", CC(), chain(20), shardedConfig(p.addr))
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +138,7 @@ func TestStatsOneWorkerRoundTrip(t *testing.T) {
 // HTTP 502 — rather than answer "not found", and Snapshot must fail
 // rather than return the coordinator's partial set.
 func TestShardedReadsSurfaceWorkerFailure(t *testing.T) {
-	p := startProxy(t, startWorker(t), viewQuery)
+	p := startProxy(t, startWorker(t), viewQuery, nil)
 	s := NewScheduler(SchedulerConfig{DefaultView: shardedConfig(p.addr)})
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
@@ -174,6 +179,44 @@ func TestShardedReadsSurfaceWorkerFailure(t *testing.T) {
 	}
 }
 
+// TestCorruptControlPayloadRejected flips one byte inside a view_apply
+// batch on its way to the worker — the A varint of its first mutation,
+// which would still decode, as a different edge. The frame's CRC catches
+// it: the worker answers with an error and the flush fails, instead of
+// the worker's replica silently applying another edge than the
+// coordinator's.
+func TestCorruptControlPayloadRejected(t *testing.T) {
+	flip := func(line []byte) []byte {
+		var msg distrib.Msg
+		if err := json.Unmarshal(line, &msg); err != nil {
+			t.Error(err)
+			return line
+		}
+		// frame header | record count | flags | A
+		msg.Frames[record.FrameHeaderSize+2] ^= 1
+		out, err := json.Marshal(msg)
+		if err != nil {
+			t.Error(err)
+		}
+		return append(out, '\n')
+	}
+	p := startProxy(t, startWorker(t), viewApply, flip)
+	v, err := NewView("g", CC(), chain(20), shardedConfig(p.addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Kill()
+	if err := v.Mutate(InsertEdge(2, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Flush(); err == nil || !strings.Contains(err.Error(), "corrupt frame") {
+		t.Fatalf("flush over a corrupted view_apply: %v, want a corrupt-frame error", err)
+	}
+	if p.sent.Load() != 1 {
+		t.Fatalf("%d view_apply messages relayed, want 1", p.sent.Load())
+	}
+}
+
 // TestAutoEngineRejectsWorkers: the AutoEngine full recompute runs
 // in-process only, so creating an auto view on a scheduler serving over
 // workers is a bad request.
@@ -207,7 +250,7 @@ func TestWorkerServesJobThenView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(distrib.EncodeSolution(dist.Solution), distrib.EncodeSolution(single.Solution)) {
+	if !bytes.Equal(record.EncodeBatch(nil, dist.Solution), record.EncodeBatch(nil, single.Solution)) {
 		t.Fatal("batch job on the worker diverged from single-process")
 	}
 
@@ -238,7 +281,7 @@ func TestWorkerServesJobThenView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return distrib.EncodeSolution(sol)
+		return record.EncodeBatch(nil, sol)
 	}
 	if !bytes.Equal(snap(shardedConfig(addr)), snap(shardedConfig())) {
 		t.Fatal("sharded view on the worker diverged from single-process")
@@ -273,7 +316,7 @@ func TestViewVerbBeforeStartRejected(t *testing.T) {
 	if reply := exchange(open); reply.Kind != "ready" {
 		t.Fatalf("view open answered %q (%s), want ready", reply.Kind, reply.Err)
 	}
-	seed := distrib.Msg{Kind: viewSeed, Frames: packRecords([]record.Record{{A: 1, B: 0}})}
+	seed := distrib.Msg{Kind: viewSeed, Frames: record.AppendFrame(nil, record.Batch{{A: 1, B: 0}})}
 	if reply := exchange(seed); reply.Kind != "error" || !strings.Contains(reply.Err, "before start") {
 		t.Fatalf("view_seed before start answered %q (%s), want an error", reply.Kind, reply.Err)
 	}
@@ -288,7 +331,7 @@ func TestViewVerbBeforeStartRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return distrib.EncodeSolution(sol)
+		return record.EncodeBatch(nil, sol)
 	}
 	if !bytes.Equal(snap(shardedConfig(addr)), snap(shardedConfig())) {
 		t.Fatal("sharded view after a rejected verb diverged from in-process")

@@ -139,7 +139,7 @@ func (s *session) runDriven(workset []record.Record) error {
 func (s *session) Apply(batch []Mutation) error {
 	v, c := s.v, s.core
 	if len(s.Conns) > 0 {
-		if err := s.Broadcast(distrib.Msg{Kind: viewApply, Frames: packRecords(mutationsToRecords(batch))}); err != nil {
+		if err := s.Broadcast(distrib.Msg{Kind: viewApply, Frames: record.AppendFrame(nil, mutationsToRecords(batch))}); err != nil {
 			return err
 		}
 	}
@@ -211,7 +211,7 @@ func (s *session) rounds() error {
 			if err := s.checkDigest(reply); err != nil {
 				return err
 			}
-			recs, err := unpackRecords(reply.Frames)
+			recs, err := record.DecodeFrames(reply.Frames)
 			remote = append(remote, recs...)
 			total += reply.Count + len(recs)
 			return err
@@ -226,7 +226,7 @@ func (s *session) rounds() error {
 		// solution is already a fixpoint over them.
 		routed := c.route(remote)
 		for i, conn := range s.Conns {
-			if err := conn.Send(distrib.Msg{Kind: viewSeed, Frames: packRecords(routed[i+1])}); err != nil {
+			if err := conn.Send(distrib.Msg{Kind: viewSeed, Frames: record.AppendFrame(nil, routed[i+1])}); err != nil {
 				return fmt.Errorf("live: %s host %d: %w", viewSeed, i+1, err)
 			}
 		}
@@ -327,7 +327,7 @@ func (s *session) Lookup(k int64) (record.Record, bool, error) {
 	if !reply.Found {
 		return record.Record{}, false, nil
 	}
-	recs, err := unpackRecords(reply.Frames)
+	recs, err := record.DecodeFrames(reply.Frames)
 	if err == nil && len(recs) != 1 {
 		err = fmt.Errorf("live: query host %d answered %d records", host, len(recs))
 	}

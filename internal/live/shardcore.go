@@ -2,10 +2,7 @@ package live
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/dataflow"
 	"repro/internal/distrib"
@@ -55,7 +52,7 @@ import (
 // The view verbs, each a request and its reply on the session's control
 // connection (distrib.Msg fields in parentheses).
 const (
-	viewApply      = "view_apply"      // coordinator → worker: one mutation batch (Frames, packed)
+	viewApply      = "view_apply"      // coordinator → worker: one mutation batch (Frames)
 	viewApplied    = "view_applied"    // worker → coordinator: Full = unboundable delete; Labels = owned region labels
 	viewRegion     = "view_region"     // coordinator → worker: union of region Labels; stage the bounded repair
 	viewRegioned   = "view_regioned"   // worker → coordinator: Count = staged region records, Hosted = hosted records
@@ -82,101 +79,7 @@ func maintainerFor(algorithm string, source int64) (Maintainer, error) {
 	return nil, fmt.Errorf("live: unknown sharded algorithm %q", algorithm)
 }
 
-// --- frame codecs --------------------------------------------------------
-
-// packRecords is the compact wire form for transient control-plane
-// payloads (mutation batches, candidate worksets): a flags byte plus
-// varint fields, skipping zero B/X/Tag — a quarter of the framed record
-// encoding, which matters because these payloads dominate what a sharded
-// flush ships. Durable payloads (graph dumps, solution shards) stay on
-// the CRC-framed codec the WAL and snapshots share.
-func packRecords(recs []record.Record) []byte {
-	out := make([]byte, 0, 8*len(recs)+binary.MaxVarintLen64)
-	out = binary.AppendUvarint(out, uint64(len(recs)))
-	var xb [8]byte
-	for _, r := range recs {
-		var flags byte
-		if r.B != 0 {
-			flags |= 1
-		}
-		if r.X != 0 {
-			flags |= 2
-		}
-		if r.Tag != 0 {
-			flags |= 4
-		}
-		out = append(out, flags)
-		out = binary.AppendUvarint(out, uint64(r.A))
-		if flags&1 != 0 {
-			out = binary.AppendUvarint(out, uint64(r.B))
-		}
-		if flags&2 != 0 {
-			binary.LittleEndian.PutUint64(xb[:], math.Float64bits(r.X))
-			out = append(out, xb[:]...)
-		}
-		if flags&4 != 0 {
-			out = append(out, r.Tag)
-		}
-	}
-	return out
-}
-
-// unpackRecords decodes a packRecords payload.
-func unpackRecords(p []byte) ([]record.Record, error) {
-	bad := errors.New("live: malformed packed records")
-	n, w := binary.Uvarint(p)
-	if w <= 0 {
-		return nil, bad
-	}
-	p = p[w:]
-	// Every record takes at least two bytes (flags, A), so a count past
-	// the remaining payload is malformed — and must not size the slice.
-	if n > uint64(len(p))/2 {
-		return nil, bad
-	}
-	out := make([]record.Record, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if len(p) == 0 {
-			return nil, bad
-		}
-		flags := p[0]
-		p = p[1:]
-		var r record.Record
-		a, w := binary.Uvarint(p)
-		if w <= 0 {
-			return nil, bad
-		}
-		r.A = int64(a)
-		p = p[w:]
-		if flags&1 != 0 {
-			b, w := binary.Uvarint(p)
-			if w <= 0 {
-				return nil, bad
-			}
-			r.B = int64(b)
-			p = p[w:]
-		}
-		if flags&2 != 0 {
-			if len(p) < 8 {
-				return nil, bad
-			}
-			r.X = math.Float64frombits(binary.LittleEndian.Uint64(p))
-			p = p[8:]
-		}
-		if flags&4 != 0 {
-			if len(p) < 1 {
-				return nil, bad
-			}
-			r.Tag = p[0]
-			p = p[1:]
-		}
-		out = append(out, r)
-	}
-	if len(p) != 0 {
-		return nil, bad
-	}
-	return out, nil
-}
+// --- graph replica transfer ------------------------------------------------
 
 // dumpGraph serializes the graph replica as two frames (writeGraph's
 // sections). Replicas rebuild from it and then apply every later mutation

@@ -51,7 +51,7 @@ func (h *WorkerHost) OpenView(open distrib.Msg) (distrib.Hosted, error) {
 func (c *shardCore) Handle(req distrib.Msg) (distrib.Msg, error) {
 	switch req.Kind {
 	case viewApply:
-		recs, err := unpackRecords(req.Frames)
+		recs, err := record.DecodeFrames(req.Frames)
 		if err != nil {
 			return distrib.Msg{}, err
 		}
@@ -83,9 +83,9 @@ func (c *shardCore) Handle(req distrib.Msg) (distrib.Msg, error) {
 		}
 		own, remote := c.gather(req.Round)
 		c.pending = own
-		return distrib.Msg{Kind: viewCand, Frames: packRecords(remote), Count: len(own), Digest: c.Digest}, nil
+		return distrib.Msg{Kind: viewCand, Frames: record.AppendFrame(nil, remote), Count: len(own), Digest: c.Digest}, nil
 	case viewSeed:
-		recs, err := unpackRecords(req.Frames)
+		recs, err := record.DecodeFrames(req.Frames)
 		if err != nil {
 			return distrib.Msg{}, err
 		}
@@ -97,7 +97,7 @@ func (c *shardCore) Handle(req distrib.Msg) (distrib.Msg, error) {
 		reply := distrib.Msg{Kind: viewValue}
 		if r, ok := c.Lookup(req.Key); ok {
 			reply.Found = true
-			reply.Frames = packRecords([]record.Record{r})
+			reply.Frames = record.AppendFrame(nil, record.Batch{r})
 		}
 		return reply, nil
 	case viewStats:

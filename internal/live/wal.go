@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -51,7 +52,7 @@ import (
 const (
 	walFileName   = "wal.log"
 	walMagic      = uint32(0x4c415753) // "SWAL"
-	walVersion    = uint32(1)
+	walVersion    = uint32(2)          // 2: frames carry compact varint records
 	walHeaderSize = 16
 
 	snapshotPrefix = "snapshot-"
@@ -157,7 +158,7 @@ func scanWAL(path string, replay func(seq uint64, b record.Batch) error) (base, 
 	}
 	base = binary.LittleEndian.Uint64(hdr[8:16])
 	seq = base
-	fr := record.NewFrameReader(f)
+	fr := record.NewFrameReader(bufio.NewReader(f))
 	torn := false
 	for {
 		b, ferr := fr.Next()

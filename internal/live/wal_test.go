@@ -1,8 +1,13 @@
 package live
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/iterative"
@@ -377,4 +382,45 @@ func TestDurableRequiresDataDir(t *testing.T) {
 	if err == nil {
 		t.Fatal("path separator in durable view name accepted")
 	}
+}
+
+// TestOldWALVersionRejected: a log written in the version-1 layout (fixed
+// 25-byte records inside each frame) fails recovery with a version error
+// and is left byte-for-byte as it was. Without the version check its first
+// frame would read as a torn tail and recovery would truncate the log.
+func TestOldWALVersionRejected(t *testing.T) {
+	log := binary.LittleEndian.AppendUint32(nil, walMagic)
+	log = binary.LittleEndian.AppendUint32(log, 1)
+	log = binary.LittleEndian.AppendUint64(log, 0)
+	log = append(log, v1Frame(mutationsToRecords([]Mutation{InsertEdge(1, 2), DeleteEdge(3, 4)}))...)
+	path := filepath.Join(t.TempDir(), walFileName)
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	replayed := 0
+	_, err := openWAL(path, func(uint64, record.Batch) error { replayed++; return nil })
+	if err == nil || !strings.Contains(err.Error(), "unsupported wal version 1") {
+		t.Fatalf("opening a version-1 log: %v, want a version error", err)
+	}
+	if replayed != 0 {
+		t.Fatalf("replayed %d frames of a version-1 log", replayed)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, log) {
+		t.Fatalf("the rejected log changed on disk (err %v)", err)
+	}
+}
+
+// v1Frame frames recs in the version-1 payload layout: a u32 count, then
+// A, B, X bits (u64 each) and Tag per record.
+func v1Frame(recs []record.Record) []byte {
+	p := binary.LittleEndian.AppendUint32(nil, uint32(len(recs)))
+	for _, r := range recs {
+		p = binary.LittleEndian.AppendUint64(p, uint64(r.A))
+		p = binary.LittleEndian.AppendUint64(p, uint64(r.B))
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(r.X))
+		p = append(p, r.Tag)
+	}
+	f := binary.LittleEndian.AppendUint32(nil, uint32(len(p)))
+	f = binary.LittleEndian.AppendUint32(f, crc32.ChecksumIEEE(p))
+	return append(f, p...)
 }

@@ -1,33 +1,31 @@
 package record
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
-// Framed batch serialization: the unit of durable storage shared by the
-// live-view write-ahead log and the streaming checkpoint format. A frame
-// wraps one EncodeBatch payload with a byte-length prefix and a CRC32 so
-// a reader can (a) skip through a log without decoding, (b) detect torn
-// tails — a crash mid-append leaves a frame whose length, checksum, or
-// record count no longer agree — and (c) reject bit flips that a plain
-// length-prefixed format would decode into garbage records.
+// Framed batch serialization: the unit of every record byte stream. A
+// frame wraps one EncodeBatch payload with a byte-length prefix and a
+// CRC32 so a reader can (a) skip through a log without decoding, (b)
+// detect torn tails — a crash mid-append leaves a frame whose length,
+// checksum, or record count no longer agree — and (c) reject bit flips
+// that a plain length-prefixed format would decode into garbage records.
 //
 //	frame := payloadLen uint32 | crc32(payload) uint32 | payload
-//	payload := EncodeBatch(batch)   (count uint32 | count records)
+//	payload := EncodeBatch(batch)   (uvarint count | count compact records)
 
 // FrameHeaderSize is the number of bytes preceding a frame's payload.
 const FrameHeaderSize = 8
 
 // ErrCorruptFrame reports a frame that cannot be trusted: a truncated
-// header or payload, a checksum mismatch, or a length prefix inconsistent
-// with the payload's record count. Readers treat the first corrupt frame
-// as the end of the valid prefix (a torn tail).
+// header or payload, a checksum mismatch, or a payload that is not one
+// whole batch. Readers treat the first corrupt frame as the end of the
+// valid prefix (a torn tail).
 var ErrCorruptFrame = errors.New("record: corrupt frame")
 
 // AppendFrame appends the framed form of b to dst and returns the
@@ -42,35 +40,57 @@ func AppendFrame(dst []byte, b Batch) []byte {
 	return dst
 }
 
-// frameAllocHint caps the capacity a frame decode allocates up front; a
-// frame claiming more records grows by append as records actually arrive,
-// so a corrupt length prefix cannot force a large allocation.
-const frameAllocHint = 4096
+// appendPayload checks one frame's payload against its header and
+// appends the batch it holds to dst.
+func appendPayload(dst Batch, hdr, payload []byte) (Batch, error) {
+	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(hdr[4:]); got != want {
+		return dst, fmt.Errorf("%w: checksum %#x, frame claims %#x", ErrCorruptFrame, got, want)
+	}
+	dst, rest, err := appendBatch(dst, payload)
+	if err != nil || len(rest) != 0 {
+		return dst, fmt.Errorf("%w: payload of %d bytes is not one whole batch", ErrCorruptFrame, len(payload))
+	}
+	return dst, nil
+}
 
-// FrameReader decodes a stream of frames through a fixed-size buffered
-// reader: memory per frame is bounded by the buffer plus the decoded
-// batch, independent of the stream's length, and allocation is
-// proportional to records actually present — never to a corrupt length
-// prefix.
+// DecodeFrames decodes a whole in-memory run of concatenated frames in
+// place, straight into one flat slice — the form solution shards and
+// control payloads travel in between hosts.
+func DecodeFrames(frames []byte) ([]Record, error) {
+	var out []Record
+	for len(frames) > 0 {
+		if len(frames) < FrameHeaderSize {
+			return nil, fmt.Errorf("%w: truncated header", ErrCorruptFrame)
+		}
+		n := binary.LittleEndian.Uint32(frames)
+		if uint64(n) > uint64(len(frames)-FrameHeaderSize) {
+			return nil, fmt.Errorf("%w: payload of %d bytes, %d present", ErrCorruptFrame, n, len(frames)-FrameHeaderSize)
+		}
+		end := FrameHeaderSize + int(n)
+		var err error
+		if out, err = appendPayload(out, frames[:FrameHeaderSize], frames[FrameHeaderSize:end]); err != nil {
+			return nil, err
+		}
+		frames = frames[end:]
+	}
+	return out, nil
+}
+
+// FrameReader decodes a stream of frames. Each payload is read into one
+// reused buffer that grows only as bytes arrive, so memory is bounded by
+// the largest frame actually present — never by a corrupt length prefix
+// — and each frame is decoded by the same slice decoder DecodeFrames
+// uses. It does no buffering of its own: wrap files in a bufio.Reader.
 type FrameReader struct {
-	br    *bufio.Reader
+	r     io.Reader
+	buf   []byte
 	valid int64
 }
 
-// frameReadBufSize is the fixed size of the buffered reader frames are
-// streamed through (the same bound the spill replay path uses).
-const frameReadBufSize = 64 << 10
-
-// NewFrameReader wraps r for frame decoding. If r is already a
-// *bufio.Reader it is used directly rather than double-buffered — the TCP
-// transport interleaves its own message headers with frames on one
-// connection, and both must consume from the same buffer to stay aligned.
-func NewFrameReader(r io.Reader) *FrameReader {
-	if br, ok := r.(*bufio.Reader); ok {
-		return &FrameReader{br: br}
-	}
-	return &FrameReader{br: bufio.NewReaderSize(r, frameReadBufSize)}
-}
+// NewFrameReader reads frames from r. The TCP transport interleaves its
+// own message headers with frames on one connection, so it hands over the
+// *bufio.Reader it reads those headers from.
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
 
 // ValidOffset returns the number of bytes consumed by fully-valid frames:
 // after Next returns an error, it is the truncation point that discards
@@ -82,64 +102,30 @@ func (fr *FrameReader) ValidOffset() int64 { return fr.valid }
 // truncated, checksum-failing, or self-inconsistent frame.
 func (fr *FrameReader) Next() (Batch, error) {
 	var hdr [FrameHeaderSize]byte
-	if _, err := io.ReadFull(fr.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("%w: truncated header: %v", ErrCorruptFrame, err)
 	}
-	payloadLen := binary.LittleEndian.Uint32(hdr[:4])
-	wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-	if payloadLen < 4 || (payloadLen-4)%EncodedSize != 0 {
-		return nil, fmt.Errorf("%w: payload length %d is not a whole batch", ErrCorruptFrame, payloadLen)
-	}
-	crc := crc32.NewIEEE()
-	var cnt [4]byte
-	if _, err := io.ReadFull(fr.br, cnt[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated batch count: %v", ErrCorruptFrame, err)
-	}
-	crc.Write(cnt[:])
-	n := binary.LittleEndian.Uint32(cnt[:])
-	if n != (payloadLen-4)/EncodedSize {
-		return nil, fmt.Errorf("%w: batch count %d disagrees with payload length %d", ErrCorruptFrame, n, payloadLen)
-	}
-	capHint := int(n)
-	if capHint > frameAllocHint {
-		capHint = frameAllocHint
-	}
-	out := make(Batch, 0, capHint)
-	var rbuf [EncodedSize]byte
-	for i := uint32(0); i < n; i++ {
-		if _, err := io.ReadFull(fr.br, rbuf[:]); err != nil {
-			return nil, fmt.Errorf("%w: truncated record %d/%d: %v", ErrCorruptFrame, i, n, err)
+	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	buf := fr.buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), 64<<10))
 		}
-		crc.Write(rbuf[:])
-		r, _, err := Decode(rbuf[:])
+		m, err := io.ReadFull(fr.r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorruptFrame, err)
+			fr.buf = buf
+			return nil, fmt.Errorf("%w: truncated payload (%d of %d bytes): %v", ErrCorruptFrame, len(buf), n, err)
 		}
-		out = append(out, r)
 	}
-	if got := crc.Sum32(); got != wantCRC {
-		return nil, fmt.Errorf("%w: checksum %#x, frame claims %#x", ErrCorruptFrame, got, wantCRC)
+	fr.buf = buf
+	b, err := appendPayload(nil, hdr[:], buf)
+	if err != nil {
+		return nil, err
 	}
-	fr.valid += int64(FrameHeaderSize) + int64(payloadLen)
-	return out, nil
-}
-
-// DecodeFrames decodes a whole in-memory run of concatenated frames into
-// one flat slice — the form solution shards travel in between hosts.
-func DecodeFrames(frames []byte) ([]Record, error) {
-	fr := NewFrameReader(bytes.NewReader(frames))
-	var out []Record
-	for {
-		b, err := fr.Next()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b...)
-	}
+	fr.valid += int64(FrameHeaderSize + n)
+	return b, nil
 }

@@ -55,7 +55,7 @@ func TestFrameReaderTCPShortReads(t *testing.T) {
 
 	go func() {
 		// 3-byte writes with pauses: no frame header (8 bytes) or record
-		// (EncodedSize) ever arrives in one TCP segment.
+		// longer than 3 bytes ever arrives in one TCP segment.
 		for i := 0; i < len(buf); i += 3 {
 			end := i + 3
 			if end > len(buf) {
@@ -104,7 +104,7 @@ func TestFrameReaderTCPMidFrameDrop(t *testing.T) {
 	}{
 		{"mid-header", 5},
 		{"after-header", FrameHeaderSize + 2},
-		{"mid-record", FrameHeaderSize + 4 + EncodedSize + 7},
+		{"mid-record", FrameHeaderSize + 1 + 2 + 1},
 	}
 	for _, cut := range cuts {
 		t.Run(cut.name, func(t *testing.T) {

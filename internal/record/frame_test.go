@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
+	"math"
+	"runtime"
 	"testing"
 )
 
@@ -94,22 +97,94 @@ func TestFrameFlippedCRC(t *testing.T) {
 }
 
 func buf2rec(frame []byte) Record {
-	r, _, _ := Decode(frame[FrameHeaderSize+4:])
+	r, _, _ := Decode(frame[FrameHeaderSize+1:])
 	return r
 }
 
 func TestFrameOversizeLengthPrefix(t *testing.T) {
-	// A frame claiming 1<<30 records must error on the short read, not
-	// allocate gigabytes. The alloc hint is capped, so the attempted
-	// allocation is tiny regardless of the claim.
-	var hdr [FrameHeaderSize + 4]byte
-	n := uint32(1 << 30)
-	binary.LittleEndian.PutUint32(hdr[:4], 4+n*EncodedSize)
-	binary.LittleEndian.PutUint32(hdr[8:], n)
-	fr := NewFrameReader(bytes.NewReader(hdr[:]))
+	// A frame claiming a 2 GiB payload of 1<<30 records must error on the
+	// short read, not allocate gigabytes: the payload buffer grows only
+	// as bytes arrive.
+	var hdr [FrameHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[:4], 1<<31)
+	in := binary.AppendUvarint(hdr[:], 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fr := NewFrameReader(bytes.NewReader(in))
 	if _, err := fr.Next(); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("oversize length: %v, want ErrCorruptFrame", err)
 	}
+	if _, err := DecodeFrames(in); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("oversize length in memory: %v, want ErrCorruptFrame", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding a %d-byte input allocated %d bytes", len(in), grew)
+	}
+}
+
+// TestDecodeFramesRejectsHugeCount: a payload whose uvarint record count
+// is 2⁶⁴−1 (negative as an int) fails before it can size the decode
+// slice, and so does a count merely larger than the records present.
+func TestDecodeFramesRejectsHugeCount(t *testing.T) {
+	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
+	if _, err := DecodeFrames(withPayload(huge)); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("a record count past the payload: %v, want ErrCorruptFrame", err)
+	}
+	p := EncodeBatch(nil, Batch{{A: 1}, {A: 2}})
+	p[0] = 3
+	if _, err := DecodeFrames(withPayload(p)); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("a record count past the records present: %v, want ErrCorruptFrame", err)
+	}
+}
+
+// withPayload frames an arbitrary payload with a valid length and CRC,
+// so the payload decoder itself is what must reject it.
+func withPayload(p []byte) []byte {
+	var hdr [FrameHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(p)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(p))
+	return append(hdr[:], p...)
+}
+
+// FuzzDecodeFrames: whatever run of frames decodes in place re-frames, as
+// one batch, to bytes that decode to the identical records, and the
+// streaming reader agrees with the in-place decoder on every input.
+func FuzzDecodeFrames(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(AppendFrame(nil, nil))
+	f.Add(withPayload([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}))
+	f.Add(frameStream([]Batch{{{A: 7}, {A: -1, B: 3, X: 0.5, Tag: 2}, {A: math.MaxInt64, X: math.Inf(-1)}}, {}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := DecodeFrames(data)
+		var streamed []Record
+		fr := NewFrameReader(bytes.NewReader(data))
+		var serr error
+		for {
+			b, err := fr.Next()
+			if err != nil {
+				serr = err
+				break
+			}
+			streamed = append(streamed, b...)
+		}
+		if (err == nil) != (serr == io.EOF) {
+			t.Fatalf("in-place decode err %v, streaming reader err %v", err, serr)
+		}
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(EncodeBatch(nil, streamed), EncodeBatch(nil, recs)) {
+			t.Fatalf("streaming reader decoded %v, in-place %v", streamed, recs)
+		}
+		again, err := DecodeFrames(AppendFrame(nil, recs))
+		if err != nil {
+			t.Fatalf("re-framed records do not decode: %v", err)
+		}
+		if !bytes.Equal(EncodeBatch(nil, again), EncodeBatch(nil, recs)) {
+			t.Fatalf("round trip changed the records: %v -> %v", recs, again)
+		}
+	})
 }
 
 // FuzzFrameReader feeds arbitrary bytes through the frame decoder: it

@@ -1,6 +1,9 @@
 // Package record defines the compact tuple model that flows through the
 // dataflow engine, together with key selection, hashing, partitioning,
-// comparison, and binary serialization.
+// comparison, and the one binary codec: compact varint records
+// (Record.Encode) inside CRC32-checked frames (AppendFrame), which every
+// byte stream — write-ahead log, snapshots, checkpoints, spill files, the
+// TCP data plane and control payloads — reads and writes.
 //
 // The engine deliberately uses a fixed-shape value type rather than boxed
 // interface values: the paper's Stratosphere runtime "stores records in
@@ -12,9 +15,11 @@ package record
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 )
 
 // Record is a compact, fixed-shape tuple with two integer columns, one
@@ -32,32 +37,101 @@ type Record struct {
 	Tag  uint8
 }
 
-// EncodedSize is the number of bytes Encode produces for one Record.
+// EncodedSize is the accounting unit for one record's footprint — the
+// bytes of its A, B, X and Tag fields — that spill budgets and admission
+// control charge per resident record. It is not a wire size: Encode's
+// compact form takes between 2 and 30 bytes.
 const EncodedSize = 8 + 8 + 8 + 1
 
-// Encode appends the binary form of r to dst and returns the extended slice.
+// The compact record layout: a flags byte, A as a uvarint, then B (uvarint),
+// X (8 bytes, little-endian IEEE bits) and Tag (1 byte), each present only
+// when its flag says it is non-zero. Graph records — edges, component
+// labels, candidates — mostly carry small non-negative A and B and a zero
+// X, so they shrink to a few bytes.
+const (
+	hasB   = 1 << 0
+	hasX   = 1 << 1
+	hasTag = 1 << 2
+)
+
+// Encode appends the compact form of r to dst and returns the extended
+// slice. X is flagged by its bits, so -0.0 and every NaN round-trip
+// exactly.
 func (r Record) Encode(dst []byte) []byte {
-	var buf [EncodedSize]byte
-	binary.LittleEndian.PutUint64(buf[0:8], uint64(r.A))
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(r.B))
-	binary.LittleEndian.PutUint64(buf[16:24], math.Float64bits(r.X))
-	buf[24] = r.Tag
-	return append(dst, buf[:]...)
+	xb := math.Float64bits(r.X)
+	var flags byte
+	if r.B != 0 {
+		flags |= hasB
+	}
+	if xb != 0 {
+		flags |= hasX
+	}
+	if r.Tag != 0 {
+		flags |= hasTag
+	}
+	dst = append(dst, flags)
+	dst = binary.AppendUvarint(dst, uint64(r.A))
+	if flags&hasB != 0 {
+		dst = binary.AppendUvarint(dst, uint64(r.B))
+	}
+	if flags&hasX != 0 {
+		dst = binary.LittleEndian.AppendUint64(dst, xb)
+	}
+	if flags&hasTag != 0 {
+		dst = append(dst, r.Tag)
+	}
+	return dst
 }
 
-// Decode reads a Record from the front of src, returning the record and the
-// remaining bytes. It returns an error if src is too short.
+// errMalformed reports bytes that are not a canonical Encode form:
+// truncated, an unknown flag, a flagged field that is zero, or an
+// overlong varint. Rejecting every non-canonical form keeps the encoding
+// one-to-one, so decoded bytes re-encode identically.
+var errMalformed = errors.New("record: malformed encoding")
+
+// uvarint reads one minimally encoded uvarint from the front of src.
+func uvarint(src []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(src)
+	if n <= 0 || (n > 1 && src[n-1] == 0) {
+		return 0, src, errMalformed
+	}
+	return v, src[n:], nil
+}
+
+// Decode reads one Encode form from the front of src, returning the
+// record and the remaining bytes.
 func Decode(src []byte) (Record, []byte, error) {
-	if len(src) < EncodedSize {
-		return Record{}, src, fmt.Errorf("record: decode needs %d bytes, have %d", EncodedSize, len(src))
+	if len(src) == 0 || src[0]&^(hasB|hasX|hasTag) != 0 {
+		return Record{}, src, errMalformed
 	}
-	r := Record{
-		A:   int64(binary.LittleEndian.Uint64(src[0:8])),
-		B:   int64(binary.LittleEndian.Uint64(src[8:16])),
-		X:   math.Float64frombits(binary.LittleEndian.Uint64(src[16:24])),
-		Tag: src[24],
+	flags, rest := src[0], src[1:]
+	var r Record
+	a, rest, err := uvarint(rest)
+	if err != nil {
+		return Record{}, src, err
 	}
-	return r, src[EncodedSize:], nil
+	r.A = int64(a)
+	if flags&hasB != 0 {
+		var b uint64
+		if b, rest, err = uvarint(rest); err != nil || b == 0 {
+			return Record{}, src, errMalformed
+		}
+		r.B = int64(b)
+	}
+	if flags&hasX != 0 {
+		if len(rest) < 8 || binary.LittleEndian.Uint64(rest) == 0 {
+			return Record{}, src, errMalformed
+		}
+		r.X = math.Float64frombits(binary.LittleEndian.Uint64(rest))
+		rest = rest[8:]
+	}
+	if flags&hasTag != 0 {
+		if len(rest) == 0 || rest[0] == 0 {
+			return Record{}, src, errMalformed
+		}
+		r.Tag, rest = rest[0], rest[1:]
+	}
+	return r, rest, nil
 }
 
 // String renders the record for debugging.
@@ -134,40 +208,38 @@ func Less(a, b Record) bool {
 // Batch is the unit of transfer between physical operators.
 type Batch = []Record
 
-// EncodeBatch serializes a batch, prefixed with its length.
+// EncodeBatch appends the compact form of a batch — its record count as a
+// uvarint, then each record's Encode form — to dst. It is the payload of
+// a frame (AppendFrame).
 func EncodeBatch(dst []byte, b Batch) []byte {
-	var lenbuf [4]byte
-	binary.LittleEndian.PutUint32(lenbuf[:], uint32(len(b)))
-	dst = append(dst, lenbuf[:]...)
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	for _, r := range b {
 		dst = r.Encode(dst)
 	}
 	return dst
 }
 
-// DecodeBatch reads a batch written by EncodeBatch.
+// DecodeBatch reads an EncodeBatch form from the front of src.
 func DecodeBatch(src []byte) (Batch, []byte, error) {
-	if len(src) < 4 {
-		return nil, src, fmt.Errorf("record: batch header needs 4 bytes, have %d", len(src))
+	return appendBatch(nil, src)
+}
+
+// appendBatch decodes an EncodeBatch form from the front of src,
+// appending its records to dst. The count reserves at most one slot per
+// two bytes of src — the smallest record — so a corrupt count fails the
+// decode instead of sizing a huge allocation.
+func appendBatch(dst Batch, src []byte) (Batch, []byte, error) {
+	n, rest, err := uvarint(src)
+	if err != nil || n > uint64(len(rest))/2 {
+		return dst, src, errMalformed
 	}
-	n := int(binary.LittleEndian.Uint32(src[:4]))
-	src = src[4:]
-	// Cap the allocation hint by what the buffer can actually hold, so a
-	// corrupt length prefix fails with a decode error instead of a
-	// multi-gigabyte allocation.
-	capHint := n
-	if max := len(src) / EncodedSize; capHint > max {
-		capHint = max
-	}
-	out := make(Batch, 0, capHint)
-	for i := 0; i < n; i++ {
+	dst = slices.Grow(dst, int(n))
+	for ; n > 0; n-- {
 		var r Record
-		var err error
-		r, src, err = Decode(src)
-		if err != nil {
-			return nil, src, err
+		if r, rest, err = Decode(rest); err != nil {
+			return dst, src, err
 		}
-		out = append(out, r)
+		dst = append(dst, r)
 	}
-	return out, src, nil
+	return dst, rest, nil
 }

@@ -16,8 +16,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	for _, want := range cases {
 		buf := want.Encode(nil)
-		if len(buf) != EncodedSize {
-			t.Fatalf("encoded size = %d, want %d", len(buf), EncodedSize)
+		if len(buf) < 2 || len(buf) > 30 {
+			t.Fatalf("encoded size = %d, want 2..30", len(buf))
 		}
 		got, rest, err := Decode(buf)
 		if err != nil {
@@ -49,15 +49,57 @@ func TestEncodeDecodeProperty(t *testing.T) {
 }
 
 func TestDecodeShortInput(t *testing.T) {
-	if _, _, err := Decode(make([]byte, EncodedSize-1)); err == nil {
-		t.Error("want error for short input")
+	full := Record{A: 300, B: 2, X: 1.5, Tag: 7}.Encode(nil)
+	for cut := 0; cut < len(full); cut++ {
+		if _, _, err := Decode(full[:cut]); err == nil {
+			t.Errorf("want error for input cut at %d of %d bytes", cut, len(full))
+		}
 	}
-	if _, _, err := DecodeBatch([]byte{1, 2}); err == nil {
-		t.Error("want error for short batch header")
+	if _, _, err := DecodeBatch(nil); err == nil {
+		t.Error("want error for a missing batch count")
 	}
 	// Header claims one record but no payload follows.
-	if _, _, err := DecodeBatch([]byte{1, 0, 0, 0}); err == nil {
+	if _, _, err := DecodeBatch([]byte{1, 0}); err == nil {
 		t.Error("want error for truncated batch body")
+	}
+}
+
+// TestCompactSizes pins the layout: small graph records take a few
+// bytes, and every field costs nothing while it is zero.
+func TestCompactSizes(t *testing.T) {
+	cases := []struct {
+		r    Record
+		size int
+	}{
+		{Record{}, 2},
+		{Record{A: 5, B: 9}, 3},
+		{Record{A: 300, B: 1}, 4},
+		{Record{A: 1, X: 0.5}, 10},
+		{Record{A: 1, Tag: 3}, 3},
+		{Record{A: -1}, 11},
+		{Record{A: 1, B: 2, X: 3, Tag: 4}, 12},
+	}
+	for _, c := range cases {
+		if got := len(c.r.Encode(nil)); got != c.size {
+			t.Errorf("%v encodes to %d bytes, want %d", c.r, got, c.size)
+		}
+	}
+}
+
+// TestDecodeRejectsNonCanonical: every byte string Decode accepts is the
+// one Encode produces, so an unknown flag, a flagged zero field or an
+// overlong varint is malformed.
+func TestDecodeRejectsNonCanonical(t *testing.T) {
+	for _, in := range [][]byte{
+		{0x08, 1},                         // unknown flag bit
+		{hasB, 1, 0},                      // B flagged but zero
+		{hasTag, 1, 0},                    // Tag flagged but zero
+		{0, 0x81, 0x00},                   // A = 1 as an overlong varint
+		{hasX, 1, 0, 0, 0, 0, 0, 0, 0, 0}, // X flagged but +0.0
+	} {
+		if r, _, err := Decode(in); err == nil {
+			t.Errorf("%x decoded to %v", in, r)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -55,7 +56,7 @@ const (
 	// generations via Reset.
 	SolutionCompact SolutionBackendKind = "compact"
 	// SolutionSpill wraps the compact index with a memory budget: cold
-	// partitions are evicted to disk in record.EncodeBatch form and
+	// partitions are evicted to disk as record frames and
 	// reloaded on access (§4.3's gradual spilling, applied to the solution
 	// set).
 	SolutionSpill SolutionBackendKind = "spill"
@@ -379,9 +380,9 @@ type spillPart struct {
 }
 
 // spillBackend enforces a memory budget over compact partitions by
-// evicting the least-recently-used partitions to disk in
-// record.EncodeBatch form. All methods take one internal mutex: residency
-// accounting and cross-partition eviction are inherently global, and the
+// evicting the least-recently-used partitions to disk as record frames.
+// All methods take one internal mutex: residency accounting and
+// cross-partition eviction are inherently global, and the
 // out-of-core backend trades lock granularity for bounded memory. (The
 // in-memory backends keep the lock-free-per-partition fast path.)
 type spillBackend struct {
@@ -462,15 +463,7 @@ func (b *spillBackend) enforceBudget(keep int) {
 func (b *spillBackend) evict(part int) bool {
 	p := &b.parts[part]
 	recs := p.idx.recs
-	batches := make([]record.Batch, 0, (len(recs)+spillChunk-1)/spillChunk)
-	for lo := 0; lo < len(recs); lo += spillChunk {
-		hi := lo + spillChunk
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		batches = append(batches, recs[lo:hi])
-	}
-	sf, err := spillBatches(batches)
+	sf, err := spillBatches(slices.Collect(slices.Chunk(recs, spillChunk)))
 	if err != nil {
 		return false // spilling is an optimization; keep the partition
 	}

@@ -93,7 +93,7 @@ func FuzzSolutionBackend(f *testing.F) {
 }
 
 // FuzzBatchRoundTrip pushes arbitrary record batches through the spill
-// codec (EncodeBatch -> spill file -> streaming replay) and requires the
+// codec (AppendFrame -> spill file -> streaming replay) and requires the
 // replayed records to match exactly, and DecodeBatch on arbitrary bytes to
 // fail cleanly rather than panic.
 func FuzzBatchRoundTrip(f *testing.F) {

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -25,7 +24,8 @@ type spillFile struct {
 	bytes int64
 }
 
-// spillBatches serializes batches to a fresh temp file.
+// spillBatches writes batches to a fresh temp file, one record frame
+// (record.AppendFrame) each.
 func spillBatches(batches []record.Batch) (*spillFile, error) {
 	f, err := os.CreateTemp("", "spinflow-spill-*.bin")
 	if err != nil {
@@ -35,69 +35,42 @@ func spillBatches(batches []record.Batch) (*spillFile, error) {
 	var buf []byte
 	var total int64
 	for _, b := range batches {
-		buf = record.EncodeBatch(buf[:0], b)
-		n, err := bw.Write(buf)
-		if err != nil {
-			f.Close()
-			os.Remove(f.Name())
-			return nil, fmt.Errorf("runtime: writing spill file: %w", err)
+		buf = record.AppendFrame(buf[:0], b)
+		if _, err = bw.Write(buf); err != nil {
+			break
 		}
-		total += int64(n)
+		total += int64(len(buf))
 	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return nil, err
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := f.Close(); err != nil {
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(f.Name())
-		return nil, err
+		return nil, fmt.Errorf("runtime: writing spill file: %w", err)
 	}
 	return &spillFile{path: f.Name(), bytes: total}, nil
 }
 
-// replayBufSize is the fixed size of the buffered reader replay streams
-// spilled data through; memory per replay is bounded by this plus one
-// decoded batch, independent of the spill file's size.
-const replayBufSize = 64 << 10
-
-// replay streams the spilled batches back through f, decoding records
-// one at a time from a fixed-size buffered reader — the file is never
-// materialized in memory, which is the point of spilling it.
+// replay streams the spilled batches back through f, one frame at a time
+// through a fixed-size buffered reader — the file is never materialized
+// in memory, which is the point of spilling it.
 func (s *spillFile) replay(f func(record.Batch)) error {
 	file, err := os.Open(s.path)
 	if err != nil {
 		return fmt.Errorf("runtime: opening spill file: %w", err)
 	}
 	defer file.Close()
-	br := bufio.NewReaderSize(file, replayBufSize)
-	var hdr [4]byte
-	var rbuf [record.EncodedSize]byte
+	fr := record.NewFrameReader(bufio.NewReaderSize(file, 64<<10))
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("runtime: reading spill batch header: %w", err)
+		b, err := fr.Next()
+		if err == io.EOF {
+			return nil
 		}
-		n := int(binary.LittleEndian.Uint32(hdr[:]))
-		// Cap the allocation hint: a corrupt length prefix must produce a
-		// short-read error below, not a multi-gigabyte allocation. (Same
-		// hardening as record.DecodeBatch.)
-		capHint := n
-		if capHint > spillChunk {
-			capHint = spillChunk
-		}
-		b := make(record.Batch, 0, capHint)
-		for i := 0; i < n; i++ {
-			if _, err := io.ReadFull(br, rbuf[:]); err != nil {
-				return fmt.Errorf("runtime: reading spill record: %w", err)
-			}
-			r, _, err := record.Decode(rbuf[:])
-			if err != nil {
-				return fmt.Errorf("runtime: decoding spill file: %w", err)
-			}
-			b = append(b, r)
+		if err != nil {
+			return fmt.Errorf("runtime: reading spill file: %w", err)
 		}
 		f(b)
 	}
